@@ -33,6 +33,7 @@ Controller::Controller(const ControllerParams &params, const Goal &goal)
         throw std::invalid_argument(
             "controller clamp needs confMin <= confMax");
     }
+    requireFiniteGoalValue(goal_.metric, goal_.value);
     recomputeVirtualGoal();
 }
 
@@ -111,6 +112,7 @@ Controller::update(double measured_perf, double current_conf)
 void
 Controller::setGoal(const Goal &goal)
 {
+    requireFiniteGoalValue(goal.metric, goal.value);
     goal_ = goal;
     saturation_ = 0;
     recomputeVirtualGoal();

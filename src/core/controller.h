@@ -84,7 +84,8 @@ class Controller
      *         stability region (alpha zero/non-finite, pole outside
      *         [0, 1), interaction factor < 1, inverted clamp) — the
      *         error path that used to be a debug-only assert, so a
-     *         release build could divide by alpha == 0.
+     *         release build could divide by alpha == 0 — or when the
+     *         goal value is NaN or infinite.
      */
     Controller(const ControllerParams &params, const Goal &goal);
 
@@ -105,7 +106,11 @@ class Controller
      */
     double update(double measured_perf, double current_conf);
 
-    /** Replace the goal at run time (setGoal API); keeps lambda. */
+    /**
+     * Replace the goal at run time (setGoal API); keeps lambda.
+     * @throws std::invalid_argument for a NaN or infinite goal value;
+     *         the current goal is kept.
+     */
     void setGoal(const Goal &goal);
 
     /** Change the interaction factor when siblings register (Sec. 5.4). */

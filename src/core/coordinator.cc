@@ -10,6 +10,7 @@ namespace smartconf {
 void
 GoalCoordinator::declareGoal(const Goal &goal)
 {
+    requireFiniteGoalValue(goal.metric, goal.value);
     const auto it = goals_.find(goal.metric);
     const bool super_changed =
         it == goals_.end() ? goal.superHard
@@ -42,15 +43,34 @@ GoalCoordinator::hasGoal(const std::string &metric) const
 void
 GoalCoordinator::attach(const std::string &metric, Controller *controller)
 {
+    attachAll(metric, std::span<Controller *const>(&controller, 1));
+}
+
+void
+GoalCoordinator::attachAll(const std::string &metric,
+                           std::span<Controller *const> controllers)
+{
+    if (controllers.empty())
+        return;
     auto &vec = attached_[metric];
+    if (std::equal(vec.begin(), vec.end(), controllers.begin(),
+                   controllers.end()))
+        return;
     // Idempotent: registering the same controller twice must not
     // double-count it in interactionCount() — N feeds straight into
     // the (1-p)/(N*alpha) error split, so a duplicate would halve
     // every sibling's gain for good.
-    if (std::find(vec.begin(), vec.end(), controller) != vec.end())
-        return;
-    vec.push_back(controller);
-    refreshInteractionFactors(metric);
+    bool added = false;
+    for (Controller *c : controllers) {
+        if (std::find(vec.begin(), vec.end(), c) != vec.end())
+            continue;
+        vec.push_back(c);
+        added = true;
+    }
+    // One refresh writes the final N to every attached controller —
+    // the same end state as one refresh per newcomer.
+    if (added)
+        refreshInteractionFactors(metric);
 }
 
 void
@@ -78,6 +98,7 @@ GoalCoordinator::interactionCount(const std::string &metric) const
 void
 GoalCoordinator::updateGoalValue(const std::string &metric, double value)
 {
+    requireFiniteGoalValue(metric, value);
     auto it = goals_.find(metric);
     if (it == goals_.end())
         throw std::out_of_range("no goal declared for metric '" + metric +

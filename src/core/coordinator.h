@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,9 @@ class GoalCoordinator
      * super-hard on rebalances them to N, flipping it off resets them
      * to 1.  (Values are *not* pushed to controllers here; use
      * updateGoalValue for run-time value changes.)
+     *
+     * @throws std::invalid_argument for a NaN or infinite goal value;
+     *         nothing is stored.
      */
     void declareGoal(const Goal &goal);
 
@@ -62,6 +66,18 @@ class GoalCoordinator
      */
     void attach(const std::string &metric, Controller *controller);
 
+    /**
+     * attach() every controller of @p controllers, in order, with one
+     * registry lookup and at most one interaction-factor refresh.
+     *
+     * The end state equals that of attaching them one by one.  When the
+     * registry already holds exactly these controllers in this order —
+     * the steady state of a membership heartbeat — the call compares
+     * pointers and returns.  An empty range is a no-op.
+     */
+    void attachAll(const std::string &metric,
+                   std::span<Controller *const> controllers);
+
     /** Remove a controller (e.g. its SmartConf object was destroyed). */
     void detach(const std::string &metric, Controller *controller);
 
@@ -75,6 +91,9 @@ class GoalCoordinator
      * Run-time goal update (users can call setGoal, Sec. 4.3): replaces
      * the stored value and pushes the new goal into every controller
      * attached to the metric.
+     *
+     * @throws std::invalid_argument for a NaN or infinite @p value,
+     *         before anything is stored.
      */
     void updateGoalValue(const std::string &metric, double value);
 

@@ -67,6 +67,16 @@ struct Goal
  */
 double virtualGoalFor(const Goal &goal, double lambda);
 
+/**
+ * Reject a goal value no controller can track.  A NaN goal makes every
+ * error term NaN (the controller would emit NaN configurations) and an
+ * infinite one pins the controller at a clamp, so both are input
+ * errors, not goals.
+ *
+ * @throws std::invalid_argument when @p value is NaN or infinite.
+ */
+void requireFiniteGoalValue(const std::string &metric, double value);
+
 } // namespace smartconf
 
 #endif // SMARTCONF_CORE_GOAL_H_

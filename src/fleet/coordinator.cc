@@ -11,7 +11,7 @@ std::size_t
 FleetCoordinator::addCluster(const Goal &goal)
 {
     registry_.declareGoal(goal);
-    clusters_.push_back(Cluster{goal, {}});
+    clusters_.push_back(Cluster{goal, {}, {}});
     return clusters_.size() - 1;
 }
 
@@ -21,6 +21,8 @@ FleetCoordinator::join(std::size_t cluster, TenantNode *node)
     Cluster &c = clusters_[cluster];
     node->bindCluster(c.goal);
     c.members.push_back(node);
+    if (Controller *ctl = node->controller())
+        c.controllers.push_back(ctl);
 }
 
 void
@@ -40,13 +42,13 @@ FleetCoordinator::runEpoch()
     const auto t0 = std::chrono::steady_clock::now();
     for (Cluster &c : clusters_) {
         // Membership heartbeat: every epoch each member re-asserts its
-        // registration.  attach() is idempotent, so N stays equal to
-        // the live membership; before the fix this loop inflated N by
-        // |cluster| every epoch and ground the controllers to a halt.
-        for (TenantNode *n : c.members) {
-            registry_.attach(c.goal.metric, n->controller());
-            ++stats_.attach_calls;
-        }
+        // registration, as one attachAll per cluster.  Attaching is
+        // idempotent, so N stays equal to the live membership; before
+        // the fix this heartbeat inflated N by |cluster| every epoch
+        // and ground the controllers to a halt.  Once the members are
+        // registered the call is one lookup plus a pointer compare.
+        registry_.attachAll(c.goal.metric, c.controllers);
+        stats_.attach_calls += c.members.size();
         double aggregate = 0.0;
         for (const TenantNode *n : c.members)
             aggregate += n->localMetric();
@@ -55,10 +57,9 @@ FleetCoordinator::runEpoch()
         // Fan the frozen sibling sum back out: each member tracks
         // (others + own live metric) against the cluster goal until
         // the next epoch refreshes the snapshot.
-        for (TenantNode *n : c.members) {
+        for (TenantNode *n : c.members)
             n->setClusterView(aggregate - n->localMetric());
-            ++stats_.fanouts;
-        }
+        stats_.fanouts += c.members.size();
     }
     ++stats_.epochs;
     stats_.wall_ms +=
@@ -72,10 +73,8 @@ FleetCoordinator::maxInteractionFactor() const
 {
     double max_n = 0.0;
     for (const Cluster &c : clusters_)
-        for (TenantNode *n : c.members)
-            if (n->controller())
-                max_n = std::max(
-                    max_n, n->controller()->params().interactionFactor);
+        for (const Controller *ctl : c.controllers)
+            max_n = std::max(max_n, ctl->params().interactionFactor);
     return max_n;
 }
 

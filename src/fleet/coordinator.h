@@ -18,19 +18,30 @@
  * coordinator (serially, between the parallel epoch bodies)
  *
  *   1. re-asserts every member's registration against the underlying
- *      GoalCoordinator — attach() is idempotent, so periodic
+ *      GoalCoordinator — attaching is idempotent, so periodic
  *      re-assertion is a membership heartbeat rather than an N
  *      inflation (this is exactly the call pattern that exposed the
- *      duplicate-attach bug this PR fixes);
+ *      duplicate-attach bug);
  *   2. aggregates member metrics in pinned join order and counts
  *      cluster-goal violations of the aggregate;
  *   3. fans the frozen sibling sum (aggregate minus own metric) back
  *      out to each member, which tracks that stale view until the next
  *      epoch.
  *
- * Batching makes the coordination cost measurable — attach calls,
- * fan-outs and wall time per epoch are all counted — instead of hiding
- * a fleet-wide reduction inside every tenant's inner loop.
+ * Cost per epoch.  The heartbeat is one GoalCoordinator::attachAll per
+ * *cluster*: one registry lookup plus a compare of the registered
+ * controller pointers, which match from the second epoch on, so the
+ * interaction factor is refreshed only when membership changed.  Steps
+ * 2 and 3 touch every member once and stay serial, in join order: the
+ * aggregate is a floating-point sum whose order is part of the output,
+ * and a second fork/join per epoch would cost about what the fan-out
+ * saves.  The tenants' own ticks run in the parallel epoch body
+ * (fleet/fleet.h), not here.
+ *
+ * Batching makes the coordination cost measurable — attach calls and
+ * fan-outs (one per member per epoch) and wall time per epoch are all
+ * counted — instead of hiding a fleet-wide reduction inside every
+ * tenant's inner loop.
  */
 
 #include <cstddef>
@@ -50,7 +61,7 @@ class FleetCoordinator
     struct Stats
     {
         std::uint64_t epochs = 0;
-        std::uint64_t attach_calls = 0; ///< membership re-assertions
+        std::uint64_t attach_calls = 0; ///< member re-assertions
         std::uint64_t fanouts = 0;      ///< frozen views installed
         std::uint64_t aggregate_violations = 0; ///< cluster goal missed
         double wall_ms = 0.0; ///< serial coordination time, all epochs
@@ -101,7 +112,8 @@ class FleetCoordinator
     struct Cluster
     {
         Goal goal;
-        std::vector<TenantNode *> members;
+        std::vector<TenantNode *> members;   ///< join order
+        std::vector<Controller *> controllers; ///< members' controllers
     };
 
     GoalCoordinator registry_;

@@ -33,6 +33,24 @@ runFleet(const FleetParams &params)
         throw std::invalid_argument(
             "runFleet: tenants/ticks/epoch_ticks/control_period must "
             "be positive");
+    // A one-member cluster would be a super-hard goal 10% tighter than
+    // the tenant's own, breaking the rule that a lone tenant keeps its
+    // local goal.
+    if (params.cluster_size < 2)
+        throw std::invalid_argument(
+            "runFleet: cluster_size must be at least 2");
+    // Negative or NaN draws would wrap to a huge size_t buffer.
+    if (!(std::isfinite(params.draws_per_tenant) &&
+          params.draws_per_tenant >= 0.0))
+        throw std::invalid_argument(
+            "runFleet: draws_per_tenant must be finite and >= 0");
+    if (!(std::isfinite(params.cluster_headroom) &&
+          params.cluster_headroom > 0.0))
+        throw std::invalid_argument(
+            "runFleet: cluster_headroom must be finite and > 0");
+    if (!(params.zipf_theta >= 0.0 && params.zipf_theta < 1.0))
+        throw std::invalid_argument(
+            "runFleet: zipf_theta must lie in [0, 1)");
 
     const auto wall0 = std::chrono::steady_clock::now();
     const std::size_t n_tenants = params.tenants;
@@ -110,12 +128,21 @@ runFleet(const FleetParams &params)
         std::min<std::size_t>(kFleetGroups, n_tenants);
     std::uint64_t epochs = 0;
 
+    // Diurnal multipliers of the current epoch, one row of epoch length
+    // per archetype: every tenant of an archetype shares its curve, so
+    // the table replaces a cos() per tenant tick with one per
+    // (archetype, tick).
+    const std::size_t max_epoch_len = static_cast<std::size_t>(
+        std::min(params.epoch_ticks, params.ticks));
+    std::vector<double> diurnal(curves.size() * max_epoch_len);
+
     for (sim::Tick e0 = 0; e0 < params.ticks;
          e0 += params.epoch_ticks) {
         const sim::Tick e1 =
             std::min<sim::Tick>(e0 + params.epoch_ticks, params.ticks);
         // Serial coordination boundary: cluster aggregation + frozen
-        // fan-out, then this epoch's Zipf traffic split.
+        // fan-out, then this epoch's Zipf traffic split and diurnal
+        // table.
         if (params.smart)
             coord.runEpoch();
         zipf.sampleBatch(traffic, draw_buf.data(), draws);
@@ -123,6 +150,11 @@ runFleet(const FleetParams &params)
         for (const std::uint64_t d : draw_buf)
             ++counts[d];
         const double epoch_len = static_cast<double>(e1 - e0);
+        for (std::size_t a = 0; a < curves.size(); ++a)
+            for (sim::Tick t = e0; t < e1; ++t)
+                diurnal[a * max_epoch_len +
+                        static_cast<std::size_t>(t - e0)] =
+                    curves[a].at(t);
 
         // Parallel epoch body: group g owns tenants [lo, hi) and no
         // other state, so any executor schedule produces identical
@@ -131,17 +163,12 @@ runFleet(const FleetParams &params)
             const std::size_t lo = g * n_tenants / groups;
             const std::size_t hi = (g + 1) * n_tenants / groups;
             for (std::size_t i = lo; i < hi; ++i) {
-                TenantNode &node = nodes[i];
                 const double base_load =
                     static_cast<double>(counts[i]) / epoch_len;
-                const workload::DiurnalCurve &curve =
-                    curves[i % curves.size()];
-                for (sim::Tick t = e0; t < e1; ++t) {
-                    node.tick(t, base_load * curve.at(t));
-                    if (node.smart() &&
-                        (t + 1) % params.control_period == 0)
-                        node.controlTick();
-                }
+                nodes[i].tickEpoch(
+                    e0, e1, base_load,
+                    &diurnal[(i % curves.size()) * max_epoch_len],
+                    params.control_period);
             }
         };
         if (params.pool)

@@ -14,8 +14,9 @@
  *   ---------------------          -------------------
  *   FleetCoordinator.runEpoch()    fixed logical tenant groups fan
  *   Zipf draw -> per-tenant        out over the executor; each group
- *   traffic counts                 ticks its tenants' plants and
- *                                  controllers for the whole epoch
+ *   traffic counts                 runs TenantNode::tickEpoch for its
+ *   diurnal table: 6 archetypes    tenants (plants, controllers and
+ *   x epoch ticks                  one batched noise draw per tenant)
  *
  * Determinism: the tenant->group map is a pure function of the tenant
  * count (kFleetGroups contiguous ranges), every tenant owns a private
@@ -57,14 +58,14 @@ struct FleetParams
     sim::Tick control_period = 4; ///< controller invocation period
     std::uint64_t seed = 1;
 
-    double zipf_theta = 0.99;      ///< YCSB tenant-popularity skew
+    double zipf_theta = 0.99;      ///< tenant-popularity skew, [0, 1)
     double draws_per_tenant = 8.0; ///< mean traffic draws per epoch
 
-    std::uint32_t cluster_size = 32; ///< tenants per capacity cluster
+    std::uint32_t cluster_size = 32; ///< tenants per capacity cluster, >= 2
     /**
-     * Cluster goal = headroom * sum of member local goals.  Below 1.0
-     * the members cannot all sit at their local goals simultaneously,
-     * so the super-hard split has real work to do.
+     * Cluster goal = headroom * sum of member local goals (finite,
+     * > 0).  Below 1.0 the members cannot all sit at their local goals
+     * simultaneously, so the super-hard split has real work to do.
      */
     double cluster_headroom = 0.9;
 
@@ -114,7 +115,13 @@ struct FleetResult
     std::vector<ArchetypeRow> per_archetype;
 };
 
-/** Run one fleet simulation; deterministic for fixed params + seed. */
+/**
+ * Run one fleet simulation; deterministic for fixed params + seed.
+ * @throws std::invalid_argument for degenerate params: zero tenants,
+ *         non-positive ticks/epoch_ticks/control_period, cluster_size
+ *         < 2, negative or non-finite draws_per_tenant, non-positive
+ *         or non-finite cluster_headroom, zipf_theta outside [0, 1).
+ */
 FleetResult runFleet(const FleetParams &params);
 
 } // namespace smartconf::fleet

@@ -1,5 +1,6 @@
 #include "fleet/tenant.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "scenarios/scenario.h"
@@ -111,6 +112,30 @@ TenantNode::bindCluster(const Goal &cluster_goal)
 void
 TenantNode::tick(sim::Tick now, double load)
 {
+    step(now, load, rng_.gaussian(0.0, arch_->noise));
+}
+
+void
+TenantNode::tickEpoch(sim::Tick e0, sim::Tick e1, double base_load,
+                      const double *diurnal, sim::Tick control_period)
+{
+    constexpr sim::Tick kNoiseChunk = 64;
+    double noise[kNoiseChunk];
+    for (sim::Tick c0 = e0; c0 < e1; c0 += kNoiseChunk) {
+        const sim::Tick c1 = std::min(c0 + kNoiseChunk, e1);
+        rng_.gaussianBatch(0.0, arch_->noise, noise,
+                           static_cast<std::size_t>(c1 - c0));
+        for (sim::Tick t = c0; t < c1; ++t) {
+            step(t, base_load * diurnal[t - e0], noise[t - c0]);
+            if (controller_ && (t + 1) % control_period == 0)
+                controlTick();
+        }
+    }
+}
+
+void
+TenantNode::step(sim::Tick now, double load, double noise)
+{
     // Saturating load term: a hot Zipf-head tenant sees hundreds of
     // ops/tick, but queues and caches bound how much of that converts
     // into metric pressure — without the bend the head tenants would
@@ -120,8 +145,7 @@ TenantNode::tick(sim::Tick now, double load)
                              (1.0 + load / arch_->load_sat);
     const double target =
         arch_->base_metric + plant_alpha_ * conf_ + load_term;
-    metric_ += 0.35 * (target - metric_) +
-               rng_.gaussian(0.0, arch_->noise);
+    metric_ += 0.35 * (target - metric_) + noise;
     if (metric_ < 0.0)
         metric_ = 0.0;
 

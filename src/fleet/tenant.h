@@ -128,6 +128,18 @@ class TenantNode
     /** Run one controller update against the current metric view. */
     void controlTick();
 
+    /**
+     * Run ticks [@p e0, @p e1) of one epoch: tick(t, base_load *
+     * diurnal[t - e0]) for every t, and controlTick() after each t
+     * with (t + 1) % control_period == 0 when the node is smart.  The
+     * result is bit for bit that loop's; the epoch's sensor noise is
+     * drawn up front with Rng::gaussianBatch into a stack buffer
+     * (chunked, so any epoch length works) instead of one gaussian()
+     * per tick.
+     */
+    void tickEpoch(sim::Tick e0, sim::Tick e1, double base_load,
+                   const double *diurnal, sim::Tick control_period);
+
     /** Metric the controller sees: cluster aggregate when clustered. */
     double metricView() const
     {
@@ -149,6 +161,9 @@ class TenantNode
     std::uint64_t foldChecksum(std::uint64_t h) const;
 
   private:
+    /** tick() with this tick's sensor noise already drawn. */
+    void step(sim::Tick now, double load, double noise);
+
     const TenantArchetype *arch_;
     sim::Rng rng_;
     double plant_alpha_;  ///< true gain (jittered vs profiled alpha)

@@ -36,12 +36,17 @@ Rng::fillRaw(std::uint64_t *out, std::size_t n)
     // Phase 1 (serial): walk the state, recording each step's
     // pre-transition s[1] — the only word the output map reads.  This
     // is cheaper than next() per word (no multiplies) and is the part
-    // that cannot vectorize.  Phase 2 (parallel): the kernel applies
-    // rotl(x*5, 7)*9 to the whole buffer in SIMD lanes.
+    // that cannot vectorize.  The walk runs on a local copy: a store
+    // through out may alias s_ as far as the compiler knows, so
+    // walking s_ itself would reload and re-store all four words every
+    // step.  Phase 2 (parallel): the kernel applies rotl(x*5, 7)*9 to
+    // the whole buffer in SIMD lanes.
+    std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
     for (std::size_t i = 0; i < n; ++i) {
-        out[i] = s_[1];
-        advance();
+        out[i] = s[1];
+        advance(s);
     }
+    std::copy(s, s + 4, s_);
     kernels::rngOutputMap(out, n);
 }
 

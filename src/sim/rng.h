@@ -35,7 +35,7 @@ class Rng
     std::uint64_t next()
     {
         const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-        advance();
+        advance(s_);
         return result;
     }
 
@@ -142,16 +142,16 @@ class Rng
         return (x << k) | (x >> (64 - k));
     }
 
-    /** State transition without the output map (fillRaw's inner step). */
-    void advance()
+    /** xoshiro256** state transition on a raw state, no output map. */
+    static void advance(std::uint64_t s[4])
     {
-        const std::uint64_t t = s_[1] << 17;
-        s_[2] ^= s_[0];
-        s_[3] ^= s_[1];
-        s_[1] ^= s_[2];
-        s_[0] ^= s_[3];
-        s_[2] ^= t;
-        s_[3] = rotl(s_[3], 45);
+        const std::uint64_t t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = rotl(s[3], 45);
     }
 
     std::uint64_t s_[4];

@@ -213,6 +213,27 @@ TEST(Controller, ConstructionRejectsUnstableParameters)
     ControllerParams bad_n = params(1.0);
     bad_n.interactionFactor = 0.5;
     EXPECT_THROW(Controller(bad_n, g), std::invalid_argument);
+    // A NaN goal made every update NaN; an infinite one pinned the
+    // controller at a clamp.
+    EXPECT_THROW(Controller(params(1.0), memGoal(kNan)),
+                 std::invalid_argument);
+    EXPECT_THROW(Controller(params(1.0), memGoal(kInf)),
+                 std::invalid_argument);
+    EXPECT_THROW(Controller(params(1.0), memGoal(-kInf)),
+                 std::invalid_argument);
+}
+
+TEST(Controller, SetGoalRejectsNonFiniteValueAndKeepsGoal)
+{
+    Controller c(params(1.0, 0.0, 0.1), memGoal(500.0, true));
+    EXPECT_THROW(c.setGoal(memGoal(kNan)), std::invalid_argument);
+    EXPECT_THROW(c.setGoal(memGoal(kInf)), std::invalid_argument);
+    EXPECT_THROW(c.setGoal(memGoal(-kInf)), std::invalid_argument);
+    EXPECT_DOUBLE_EQ(c.goal().value, 500.0);
+    EXPECT_NEAR(c.virtualGoal(), 450.0, 1e-9);
+    const double out = c.update(400.0, 10.0);
+    EXPECT_TRUE(std::isfinite(out));
+    EXPECT_DOUBLE_EQ(out, 60.0); // 10 + (450 - 400) / alpha
 }
 
 TEST(Controller, NonFinitePerfHoldsLastOutput)

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "core/controller.h"
 #include "core/coordinator.h"
@@ -139,6 +141,95 @@ TEST(Coordinator, DuplicateAttachIsIdempotent)
     coord.detach("mem", &a);
     EXPECT_EQ(coord.interactionCount("mem"), 1u);
     EXPECT_DOUBLE_EQ(b.params().interactionFactor, 1.0);
+}
+
+TEST(Coordinator, AttachAllIsIdempotentAndRefreshesOnce)
+{
+    GoalCoordinator coord;
+    coord.declareGoal(goal("mem", true));
+    Controller a(params(), goal("mem", true));
+    Controller b(params(), goal("mem", true));
+    Controller c(params(), goal("mem", true));
+    const std::vector<Controller *> ab = {&a, &b};
+
+    coord.attachAll("mem", ab);
+    EXPECT_EQ(coord.interactionCount("mem"), 2u);
+    EXPECT_DOUBLE_EQ(a.params().interactionFactor, 2.0);
+    EXPECT_DOUBLE_EQ(b.params().interactionFactor, 2.0);
+
+    // Heartbeat steady state: the registry holds exactly these
+    // controllers in this order, so the call must not refresh — a
+    // factor changed behind the registry's back survives it.
+    a.setInteractionFactor(7.0);
+    coord.attachAll("mem", ab);
+    EXPECT_EQ(coord.interactionCount("mem"), 2u);
+    EXPECT_DOUBLE_EQ(a.params().interactionFactor, 7.0);
+
+    // New and already-attached controllers mixed, out of order and
+    // with a duplicate: only c is added, and the refresh writes the
+    // final N to every attached controller.
+    const std::vector<Controller *> mixed = {&b, &c, &a, &c};
+    coord.attachAll("mem", mixed);
+    EXPECT_EQ(coord.interactionCount("mem"), 3u);
+    for (const Controller *ctl : {&a, &b, &c})
+        EXPECT_DOUBLE_EQ(ctl->params().interactionFactor, 3.0);
+
+    // Only already-attached controllers, not the registered list:
+    // nothing is added, so nothing is refreshed.
+    a.setInteractionFactor(7.0);
+    coord.attachAll("mem", ab);
+    EXPECT_EQ(coord.interactionCount("mem"), 3u);
+    EXPECT_DOUBLE_EQ(a.params().interactionFactor, 7.0);
+
+    // Same end state as attaching one by one.
+    GoalCoordinator serial;
+    serial.declareGoal(goal("mem", true));
+    Controller x(params(), goal("mem", true));
+    Controller y(params(), goal("mem", true));
+    Controller z(params(), goal("mem", true));
+    for (Controller *ctl : {&y, &z, &x, &z})
+        serial.attach("mem", ctl);
+    EXPECT_EQ(serial.interactionCount("mem"), 3u);
+    for (const Controller *ctl : {&x, &y, &z})
+        EXPECT_DOUBLE_EQ(ctl->params().interactionFactor, 3.0);
+}
+
+TEST(Coordinator, AttachAllEmptyRangeIsNoOp)
+{
+    GoalCoordinator coord;
+    coord.declareGoal(goal("mem", true));
+    coord.attachAll("mem", {});
+    EXPECT_EQ(coord.interactionCount("mem"), 0u);
+
+    Controller a(params(), goal("mem", true));
+    coord.attach("mem", &a);
+    a.setInteractionFactor(5.0);
+    coord.attachAll("mem", {});
+    EXPECT_EQ(coord.interactionCount("mem"), 1u);
+    EXPECT_DOUBLE_EQ(a.params().interactionFactor, 5.0);
+}
+
+TEST(Coordinator, NonFiniteGoalValuesRejected)
+{
+    GoalCoordinator coord;
+    Goal bad = goal("mem", true);
+    bad.value = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(coord.declareGoal(bad), std::invalid_argument);
+    EXPECT_FALSE(coord.hasGoal("mem")); // nothing stored
+
+    coord.declareGoal(goal("mem", true));
+    Controller a(params(), goal("mem", true));
+    coord.attach("mem", &a);
+    bad.value = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(coord.declareGoal(bad), std::invalid_argument);
+    EXPECT_THROW(coord.updateGoalValue(
+                     "mem", std::numeric_limits<double>::quiet_NaN()),
+                 std::invalid_argument);
+    EXPECT_THROW(coord.updateGoalValue(
+                     "mem", -std::numeric_limits<double>::infinity()),
+                 std::invalid_argument);
+    EXPECT_DOUBLE_EQ(coord.goalFor("mem").value, 500.0);
+    EXPECT_DOUBLE_EQ(a.goal().value, 500.0);
 }
 
 TEST(Coordinator, RedeclareSuperHardOnRefreshesAttached)

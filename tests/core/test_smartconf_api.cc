@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 
 #include "core/smartconf.h"
 
@@ -111,6 +114,25 @@ TEST(SmartConfApi, SetGoalTakesEffectAtRunTime)
         conf = sc.getConfReal();
     }
     EXPECT_NEAR(conf, 200.0, 1.0);
+}
+
+TEST(SmartConfApi, NonFiniteGoalIsRejected)
+{
+    // setGoal(NaN) and a goal-file value "nan" (std::stod accepts it)
+    // used to reach the controller and make it emit NaN.
+    SmartConfRuntime rt;
+    setupMem(rt, true);
+    rt.installProfile("q", summary(1.0));
+    SmartConf sc(rt, "q");
+    EXPECT_THROW(sc.setGoal(std::numeric_limits<double>::quiet_NaN()),
+                 std::invalid_argument);
+    EXPECT_THROW(rt.loadUserConfText("mem = nan\n"),
+                 std::invalid_argument);
+    EXPECT_THROW(rt.loadUserConfText("mem = inf\n"),
+                 std::invalid_argument);
+    sc.setPerf(100.0);
+    const double conf = sc.getConfReal();
+    EXPECT_TRUE(std::isfinite(conf));
 }
 
 TEST(SmartConfApi, IndirectControlsDeputy)

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "exec/thread_pool.h"
 #include "fleet/fleet.h"
 #include "sim/shard.h"
@@ -17,14 +20,29 @@
 namespace smartconf::fleet {
 namespace {
 
-FleetParams
-testFleet()
+/**
+ * The default epoch shape, and an odd one: 7-tick epochs carry a
+ * spare normal across every epoch boundary, are not a multiple of the
+ * control period, and 23 ticks end in a 2-tick epoch.
+ */
+std::vector<FleetParams>
+testFleets()
 {
     FleetParams p;
     p.tenants = 512;
     p.ticks = 120;
     p.seed = 3;
-    return p;
+    FleetParams odd = p;
+    odd.epoch_ticks = 7;
+    odd.ticks = 23;
+    return {p, odd};
+}
+
+std::string
+label(const FleetParams &p)
+{
+    return "epoch_ticks=" + std::to_string(p.epoch_ticks) +
+           " ticks=" + std::to_string(p.ticks);
 }
 
 void
@@ -56,37 +74,46 @@ expectIdentical(const FleetResult &a, const FleetResult &b)
 
 TEST(FleetDeterminism, PoolSizeDoesNotChangeResults)
 {
-    // Reference: fully inline (no pool, serial shard plane).
-    const FleetResult serial = runFleet(testFleet());
+    for (const FleetParams &base : testFleets()) {
+        SCOPED_TRACE(label(base));
+        // Reference: fully inline (no pool, serial shard plane).
+        const FleetResult serial = runFleet(base);
 
-    for (const std::size_t jobs : {2u, 8u}) {
-        exec::ThreadPool pool(jobs);
-        FleetParams p = testFleet();
-        p.pool = &pool;
-        const FleetResult parallel = runFleet(p);
-        SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        expectIdentical(serial, parallel);
+        for (const std::size_t jobs : {2u, 8u}) {
+            exec::ThreadPool pool(jobs);
+            FleetParams p = base;
+            p.pool = &pool;
+            const FleetResult parallel = runFleet(p);
+            SCOPED_TRACE("jobs=" + std::to_string(jobs));
+            expectIdentical(serial, parallel);
+        }
     }
 }
 
 TEST(FleetDeterminism, ShardWorkersDoNotChangeResults)
 {
-    const std::size_t before = sim::shardWorkers();
-    sim::setShardWorkers(1);
-    const FleetResult serial = runFleet(testFleet());
-    sim::setShardWorkers(4);
-    const FleetResult sharded = runFleet(testFleet());
-    sim::setShardWorkers(before);
-    expectIdentical(serial, sharded);
+    for (const FleetParams &p : testFleets()) {
+        SCOPED_TRACE(label(p));
+        const std::size_t before = sim::shardWorkers();
+        sim::setShardWorkers(1);
+        const FleetResult serial = runFleet(p);
+        sim::setShardWorkers(4);
+        const FleetResult sharded = runFleet(p);
+        sim::setShardWorkers(before);
+        expectIdentical(serial, sharded);
+    }
 }
 
 TEST(FleetDeterminism, RepeatRunsAreBitIdentical)
 {
-    const FleetResult a = runFleet(testFleet());
-    const FleetResult b = runFleet(testFleet());
-    expectIdentical(a, b);
-    EXPECT_EQ(a.coord.fanouts, b.coord.fanouts);
-    EXPECT_EQ(a.epochs, b.epochs);
+    for (const FleetParams &p : testFleets()) {
+        SCOPED_TRACE(label(p));
+        const FleetResult a = runFleet(p);
+        const FleetResult b = runFleet(p);
+        expectIdentical(a, b);
+        EXPECT_EQ(a.coord.fanouts, b.coord.fanouts);
+        EXPECT_EQ(a.epochs, b.epochs);
+    }
 }
 
 } // namespace

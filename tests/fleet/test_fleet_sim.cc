@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "fleet/fleet.h"
@@ -32,6 +33,38 @@ TEST(FleetSim, RejectsDegenerateParams)
     p = smallFleet();
     p.control_period = 0;
     EXPECT_THROW(runFleet(p), std::invalid_argument);
+
+    // A cluster of one would put a lone tenant under a goal 10%
+    // tighter than its own.
+    for (const std::uint32_t size : {0u, 1u}) {
+        p = smallFleet();
+        p.cluster_size = size;
+        EXPECT_THROW(runFleet(p), std::invalid_argument) << size;
+    }
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double draws : {-1.0, nan, inf}) {
+        p = smallFleet();
+        p.draws_per_tenant = draws;
+        EXPECT_THROW(runFleet(p), std::invalid_argument) << draws;
+    }
+    for (const double headroom : {0.0, -0.5, nan, inf}) {
+        p = smallFleet();
+        p.cluster_headroom = headroom;
+        EXPECT_THROW(runFleet(p), std::invalid_argument) << headroom;
+    }
+    for (const double theta : {-0.1, 1.0, nan}) {
+        p = smallFleet();
+        p.zipf_theta = theta;
+        EXPECT_THROW(runFleet(p), std::invalid_argument) << theta;
+    }
+
+    // The boundaries themselves are valid.
+    p = smallFleet();
+    p.cluster_size = 2;
+    p.draws_per_tenant = 0.0;
+    p.zipf_theta = 0.0;
+    EXPECT_NO_THROW(runFleet(p));
 }
 
 TEST(FleetSim, ClusterLayoutAndCoordinatorCost)

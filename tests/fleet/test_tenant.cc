@@ -2,11 +2,93 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <vector>
+
 #include "fleet/tenant.h"
 #include "sim/rng.h"
 
 namespace smartconf::fleet {
 namespace {
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) ==
+           std::bit_cast<std::uint64_t>(b);
+}
+
+/**
+ * Drive one node through tickEpoch() and a twin through the reference
+ * tick() + controlTick() loop over the same epochs, loads and cluster
+ * views; they must agree bit for bit after every epoch.
+ */
+void
+expectEpochMatchesTickLoop(std::size_t arch, bool smart, bool clustered,
+                           sim::Tick ticks, sim::Tick epoch_ticks,
+                           sim::Tick control_period)
+{
+    const sim::Rng base(17);
+    TenantNode fast(5, archetypes()[arch], base, smart);
+    TenantNode ref(5, archetypes()[arch], base, smart);
+    if (clustered) {
+        Goal g;
+        g.metric = "fleet/test/0";
+        g.value = 800.0;
+        g.hard = true;
+        g.superHard = true;
+        fast.bindCluster(g);
+        ref.bindCluster(g);
+    }
+    std::vector<double> diurnal(static_cast<std::size_t>(epoch_ticks));
+    for (sim::Tick e0 = 0; e0 < ticks; e0 += epoch_ticks) {
+        const sim::Tick e1 = std::min(e0 + epoch_ticks, ticks);
+        const double base_load = 2.0 + static_cast<double>(e0 % 11);
+        for (sim::Tick t = e0; t < e1; ++t)
+            diurnal[static_cast<std::size_t>(t - e0)] =
+                0.25 + 0.003 * static_cast<double>(t);
+        if (clustered) {
+            const double others = 600.0 + static_cast<double>(e0);
+            fast.setClusterView(others);
+            ref.setClusterView(others);
+        }
+
+        fast.tickEpoch(e0, e1, base_load, diurnal.data(),
+                       control_period);
+        for (sim::Tick t = e0; t < e1; ++t) {
+            ref.tick(t, base_load *
+                            diurnal[static_cast<std::size_t>(t - e0)]);
+            if (ref.smart() && (t + 1) % control_period == 0)
+                ref.controlTick();
+        }
+        ASSERT_EQ(fast.foldChecksum(1), ref.foldChecksum(1))
+            << "epoch starting at tick " << e0;
+    }
+    EXPECT_TRUE(sameBits(fast.localMetric(), ref.localMetric()));
+    EXPECT_TRUE(sameBits(fast.conf(), ref.conf()));
+    EXPECT_EQ(fast.stats().ticks, static_cast<std::uint64_t>(ticks));
+    EXPECT_EQ(fast.stats().ticks, ref.stats().ticks);
+    EXPECT_EQ(fast.stats().violations, ref.stats().violations);
+    EXPECT_EQ(fast.stats().control_updates, ref.stats().control_updates);
+    EXPECT_EQ(fast.stats().last_unsettled, ref.stats().last_unsettled);
+    EXPECT_TRUE(sameBits(fast.stats().conf_sum, ref.stats().conf_sum));
+}
+
+TEST(FleetTenant, TickEpochMatchesTickLoop)
+{
+    // Odd epoch length: the spare normal of each epoch's batch carries
+    // into the next epoch.  7 is not a multiple of the control period,
+    // and 23 = 3 x 7 + 2 leaves a short last epoch.
+    expectEpochMatchesTickLoop(1, true, false, 23, 7, 4);
+    // The default fleet shape.
+    expectEpochMatchesTickLoop(0, true, true, 240, 20, 4);
+    // Epochs longer than the 64-entry noise buffer, with an odd chunk
+    // tail and a short last epoch.
+    expectEpochMatchesTickLoop(3, true, true, 400, 150, 7);
+    // Static baseline: no controller updates at all.
+    expectEpochMatchesTickLoop(4, false, false, 45, 13, 4);
+}
 
 TEST(FleetTenant, ArchetypesDeriveFromScenarioCatalog)
 {

@@ -24,8 +24,6 @@ smartconf_add_bench(bench_micro_controller bench_micro_controller.cc)
 target_link_libraries(bench_micro_controller PRIVATE benchmark::benchmark)
 smartconf_add_bench(bench_micro_sim bench_micro_sim.cc)
 target_link_libraries(bench_micro_sim PRIVATE benchmark::benchmark)
-smartconf_add_bench(bench_micro_exec bench_micro_exec.cc)
-target_link_libraries(bench_micro_exec PRIVATE benchmark::benchmark)
 # Hand-rolled timing loop (no google-benchmark): check_regression runs
 # it on every invocation, so it has to stay fast and JSON-clean.
 smartconf_add_bench(bench_micro_kernels bench_micro_kernels.cc)

@@ -17,15 +17,14 @@
  * ticks to settle into the goal band), coordinator cost (attach
  * re-assertions, fan-outs, serial wall time per epoch) and an
  * end-state checksum.  Every non-wall field is a pure function of
- * (params, seed) — byte-identical at any `--jobs x --shard-workers`
- * combination — so the payload participates in check_regression's
- * determinism sha exactly like the sweep bench.
+ * (params, seed) — byte-identical at any `--jobs` — so the payload
+ * participates in check_regression's determinism sha exactly like the
+ * sweep bench.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,7 +33,6 @@
 #include "exec/thread_pool.h"
 #include "fleet/fleet.h"
 #include "sim/kernels.h"
-#include "sim/shard.h"
 #include "sim/simd.h"
 
 namespace {
@@ -70,7 +68,6 @@ main(int argc, char **argv)
     using namespace smartconf;
 
     const exec::SweepArgs args = exec::parseSweepArgs(argc, argv);
-    sim::setShardWorkers(args.shard_workers);
 
     std::vector<std::uint32_t> tenant_counts = {1000, 10000};
     fleet::FleetParams base;
@@ -114,17 +111,11 @@ main(int argc, char **argv)
     }
 
     // Resolve the executor exactly like SweepRunner: 0 = hardware
-    // concurrency, 1 = inline (the shard pool may still fan out when
-    // --shard-workers > 1), N > 1 = dedicated pool.
-    std::size_t jobs = args.sweep.jobs;
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
-    std::unique_ptr<exec::ThreadPool> pool;
-    if (jobs > 1)
-        pool = std::make_unique<exec::ThreadPool>(jobs);
+    // concurrency; a pool of 1 runs every group on this thread.
+    const std::size_t jobs = args.sweep.jobs == 0
+                                 ? exec::ThreadPool::defaultConcurrency()
+                                 : args.sweep.jobs;
+    exec::ThreadPool pool(jobs);
 
     struct Sweep
     {
@@ -135,7 +126,7 @@ main(int argc, char **argv)
     for (const std::uint32_t n : tenant_counts) {
         fleet::FleetParams p = base;
         p.tenants = n;
-        p.pool = pool.get();
+        p.pool = &pool;
         Sweep s;
         p.smart = true;
         s.smart = fleet::runFleet(p);
@@ -155,7 +146,6 @@ main(int argc, char **argv)
                     sim::simd::name(sim::kernels::activeIsa()),
                     __VERSION__);
         std::printf("  \"jobs\": %zu,\n", jobs);
-        std::printf("  \"shard_workers\": %zu,\n", args.shard_workers);
         std::printf("  \"seed\": %llu,\n",
                     static_cast<unsigned long long>(base.seed));
         std::printf("  \"ticks\": %lld,\n",
@@ -230,10 +220,8 @@ main(int argc, char **argv)
     }
 
     std::printf("Fleet-scale multi-tenant benchmark\n\n");
-    std::printf("workers (--jobs): %zu, shard workers: %zu, seed: "
-                "%llu, ticks: %lld\n\n",
-                jobs, args.shard_workers,
-                static_cast<unsigned long long>(base.seed),
+    std::printf("workers (--jobs): %zu, seed: %llu, ticks: %lld\n\n",
+                jobs, static_cast<unsigned long long>(base.seed),
                 static_cast<long long>(base.ticks));
     std::printf("%-8s %9s %9s %12s %10s %10s %12s %11s\n", "tenants",
                 "viol.mean", "viol.p99", "static.mean", "conv.p50",

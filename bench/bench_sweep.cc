@@ -42,7 +42,6 @@ main(int argc, char **argv)
     const smartconf::exec::SweepArgs args =
         smartconf::exec::parseSweepArgs(argc, argv,
                                         ".smartconf-cache");
-    smartconf::sim::setShardWorkers(args.shard_workers);
     smartconf::exec::SweepRunner runner(args.sweep);
 
     const std::vector<std::uint64_t> seeds = {1, 2, 3, 4};
@@ -87,10 +86,9 @@ main(int argc, char **argv)
 
     // Per-shard data-plane totals, summed over every cold run's
     // pinned-order counters.  Pure function of the logical layout —
-    // identical at any --jobs / --shard-workers combination — so both
-    // the counters and the imbalance stat participate in the payload
-    // sha.  Imbalance is max/mean over the lanes (1.0 = perfectly
-    // even fan-out).
+    // identical at any --jobs — so both the counters and the imbalance
+    // stat participate in the payload sha.  Imbalance is max/mean over
+    // the lanes (1.0 = perfectly even).
     std::uint64_t shard_totals[smartconf::sim::kShards] = {};
     for (const auto &r : cold)
         for (std::size_t s = 0; s < r.shard_ops.size() &&
@@ -147,15 +145,14 @@ main(int argc, char **argv)
                         smartconf::sim::kernels::activeIsa()),
                     __VERSION__);
         std::printf("  \"jobs\": %zu,\n", runner.jobs());
-        std::printf("  \"shard_workers\": %zu,\n", args.shard_workers);
         std::printf("  \"runs\": %zu,\n", jobs.size());
         std::printf("  \"cold_wall_ms\": %.3f,\n", cold_ms);
         std::printf("  \"warm_wall_ms\": %.3f,\n", warm_ms);
         std::printf("  \"ops_simulated\": %llu,\n",
                     static_cast<unsigned long long>(ops_simulated));
         std::printf("  \"ops_per_sec\": %.0f,\n", ops_per_sec);
-        // Logical-layout invariants: identical at any --jobs and any
-        // --shard-workers, so they participate in the payload sha.
+        // Logical-layout invariants: identical at any --jobs, so they
+        // participate in the payload sha.
         std::printf("  \"shard_ops\": [");
         for (std::size_t s = 0; s < smartconf::sim::kShards; ++s)
             std::printf("%s%llu", s == 0 ? "" : ", ",
@@ -209,9 +206,7 @@ main(int argc, char **argv)
 
     std::printf("Experiment-runner sweep benchmark\n\n");
     std::printf("workers (--jobs): %zu\n", runner.jobs());
-    std::printf("intra-run shard workers (--shard-workers): %zu "
-                "(%zu logical shards)\n",
-                args.shard_workers,
+    std::printf("logical shards per run: %zu\n",
                 static_cast<std::size_t>(smartconf::sim::kShards));
     std::printf("shard imbalance (max/mean over lanes): %.4f\n",
                 shard_imbalance);

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <stdexcept>
 #include <utility>
 
@@ -82,32 +81,16 @@ std::vector<scenarios::ScenarioResult>
 SweepRunner::run(const std::vector<SweepJob> &jobs)
 {
     const auto start = std::chrono::steady_clock::now();
-    std::vector<scenarios::ScenarioResult> results;
-    results.reserve(jobs.size());
-
-    if (jobs_ <= 1) {
-        // Serial path: no pool, no locks on the hot path beyond the
-        // cache's own — behaviourally identical to the pre-exec code.
-        for (const SweepJob &job : jobs)
-            results.push_back(execute(job));
-    } else {
-        if (!pool_)
-            pool_ = std::make_unique<ThreadPool>(jobs_);
-        // Bulk submission: the whole grid goes through one
-        // parallelFor (one injector lock, K pooled chunk runners) and
-        // every result is written at its own index — submission-order
-        // determinism by construction rather than by future
-        // collection.  On a body exception parallelFor still runs
-        // every index, then rethrows the lowest-index error; failed
-        // slots keep their default-constructed results, matching the
-        // old futures path.
-        results.resize(jobs.size());
-        pool_->parallelFor(jobs.size(), [&](std::size_t i) {
-            results[i] = execute(jobs[i]);
-        });
-        // Quiescent between sweeps: recycle the task-node arena.
-        pool_->reclaim();
-    }
+    if (!pool_)
+        pool_ = std::make_unique<ThreadPool>(jobs_);
+    // One path at every --jobs (a pool of 1 runs the indices in order
+    // on this thread): every result is written at its own index, and
+    // on a job exception parallelFor still runs every index before
+    // rethrowing the lowest-index error.
+    std::vector<scenarios::ScenarioResult> results(jobs.size());
+    pool_->parallelFor(jobs.size(), [&](std::size_t i) {
+        results[i] = execute(jobs[i]);
+    });
 
     // Publish buffered disk-cache entries before the clock stops: the
     // next process's warm start depends on the segments being sealed,
@@ -139,18 +122,6 @@ parseSweepArgs(int argc, char **argv,
         }
         args.sweep.jobs = static_cast<std::size_t>(v);
     };
-    auto parseShardWorkers = [&](const char *text) {
-        char *end = nullptr;
-        const long v = std::strtol(text, &end, 10);
-        if (end == text || *end != '\0' || v < 1) {
-            std::fprintf(stderr,
-                         "invalid --shard-workers value '%s' (want an "
-                         "integer >= 1)\n",
-                         text);
-            std::exit(2);
-        }
-        args.shard_workers = static_cast<std::size_t>(v);
-    };
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
         if (std::strcmp(a, "--json") == 0) {
@@ -164,14 +135,6 @@ parseSweepArgs(int argc, char **argv,
             parseJobs(argv[++i]);
         } else if (std::strncmp(a, "--jobs=", 7) == 0) {
             parseJobs(a + 7);
-        } else if (std::strcmp(a, "--shard-workers") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", a);
-                std::exit(2);
-            }
-            parseShardWorkers(argv[++i]);
-        } else if (std::strncmp(a, "--shard-workers=", 16) == 0) {
-            parseShardWorkers(a + 16);
         } else if (std::strcmp(a, "--cache-dir") == 0) {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "%s needs a value\n", a);

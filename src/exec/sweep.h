@@ -8,15 +8,16 @@
  * Every figure/table harness evaluates many independent
  * (scenario, policy, seed) runs; each run owns its own simulated clock,
  * event queue and RNG, so they parallelize trivially.  SweepRunner fans
- * jobs out over a ThreadPool, memoizes results in a RunCache so no
- * duplicate triple is ever simulated twice (within or across sweeps on
- * the same runner), and returns results in submission order regardless
- * of completion order — `--jobs 8` output is byte-identical to
- * `--jobs 1`.
+ * jobs out over a ThreadPool (`--jobs`, the one parallelism knob; at
+ * `--jobs 1` the pool runs every job on the calling thread through the
+ * same path), memoizes results in a RunCache so no duplicate triple is
+ * ever simulated twice (within or across sweeps on the same runner),
+ * and returns results in submission order regardless of completion
+ * order — `--jobs 8` output is byte-identical to `--jobs 1`.
  *
  * Isolation rule: a job never shares a Scenario instance with another
  * job.  The scenario-id and factory constructors build the scenario
- * *inside* the job, on the worker thread that runs it.
+ * *inside* the job, on the thread that runs it.
  */
 
 #include <cstdint>
@@ -34,7 +35,7 @@ namespace smartconf::exec {
 /** One unit of sweep work producing a ScenarioResult. */
 struct SweepJob
 {
-    /** The work; runs on a pool worker (or inline when serial). */
+    /** The work; runs on whichever pool runner claims it. */
     std::function<scenarios::ScenarioResult()> fn;
 
     /** Memoization key; empty string disables caching for this job. */
@@ -72,7 +73,8 @@ struct SweepJob
 
 struct SweepOptions
 {
-    /** Worker threads; 0 = hardware concurrency; 1 = serial (no pool). */
+    /** Runners, the calling thread included; 0 = hardware
+     *  concurrency; 1 = every job on the calling thread. */
     std::size_t jobs = 0;
 
     /** Memoize results across jobs and sweeps on this runner. */
@@ -94,13 +96,14 @@ class SweepRunner
   public:
     explicit SweepRunner(SweepOptions opts = {});
 
-    /** Effective worker count (resolved from SweepOptions::jobs). */
+    /** Effective runner count (resolved from SweepOptions::jobs). */
     std::size_t jobs() const { return jobs_; }
 
     /**
      * Execute all @p jobs; results arrive in the same order as the
      * input vector.  A job's exception is rethrown from here after the
-     * remaining jobs finish.
+     * remaining jobs finish (the lowest-index one when several throw),
+     * so the cache holds the same entries at every `--jobs`.
      */
     std::vector<scenarios::ScenarioResult>
     run(const std::vector<SweepJob> &jobs);
@@ -129,22 +132,13 @@ struct SweepArgs
 {
     SweepOptions sweep;
     bool json = false; ///< machine-readable output (--json)
-
-    /**
-     * Intra-run data-plane workers (--shard-workers N): how many
-     * physical threads one run's tick fans its logical shards across
-     * (sim::setShardWorkers).  Orthogonal to `sweep.jobs`, which
-     * parallelizes *across* runs.  1 = serial data plane.
-     */
-    std::size_t shard_workers = 1;
 };
 
 /**
- * Parse `--jobs N` (also `--jobs=N`, `-j N`), `--shard-workers N`
- * (also `--shard-workers=N`), `--json`,
+ * Parse `--jobs N` (also `--jobs=N`, `-j N`), `--json`,
  * `--cache-dir PATH` (also `--cache-dir=PATH`) and `--no-disk-cache`
  * from a bench harness's argv; unknown arguments are ignored.  Exits
- * with a usage message on a malformed --jobs or --shard-workers value.
+ * with a usage message on a malformed --jobs value.
  *
  * @p default_cache_dir seeds SweepOptions::disk_cache_dir before the
  * flags are applied: harnesses that want the persistent store by

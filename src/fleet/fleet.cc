@@ -1,13 +1,13 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <map>
 #include <stdexcept>
 
 #include "exec/thread_pool.h"
-#include "sim/shard.h"
 
 namespace smartconf::fleet {
 namespace {
@@ -174,7 +174,8 @@ runFleet(const FleetParams &params)
         if (params.pool)
             params.pool->parallelFor(groups, body);
         else
-            sim::shardFanOut(groups, body);
+            for (std::size_t g = 0; g < groups; ++g)
+                body(g);
         ++epochs;
     }
 

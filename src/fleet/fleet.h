@@ -21,8 +21,8 @@
  * Determinism: the tenant->group map is a pure function of the tenant
  * count (kFleetGroups contiguous ranges), every tenant owns a private
  * Rng stream forked by tenant id, and groups share no mutable state —
- * so the result is byte-identical at any `--jobs x --shard-workers`
- * combination, exactly like the intra-run shard plane (sim/shard.h).
+ * so the result is byte-identical at any `--jobs`, like the logical
+ * shard layout of a run (sim/shard.h).
  *
  * Traffic: one ZipfianGenerator over the tenant population (YCSB skew,
  * the alias-table sampler) draws each epoch's ops; per-tenant load is
@@ -74,9 +74,8 @@ struct FleetParams
     workload::DiurnalCurve diurnal{0.25, 240, 0};
 
     /**
-     * Executor for the epoch-body fan-out.  Null falls back to
-     * sim::shardFanOut (inline when shard workers <= 1), so the same
-     * entry point serves `--jobs N` and `--shard-workers M` runs.
+     * Executor for the epoch-body fan-out (`--jobs`).  Null runs the
+     * groups in a plain loop on the calling thread.
      */
     exec::ThreadPool *pool = nullptr;
 };

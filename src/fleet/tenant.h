@@ -18,7 +18,7 @@
  * Tenants are **shared-nothing**: every node owns its Rng stream
  * (forked from the fleet seed by tenant id), its plant state and its
  * controller, so an epoch's ticks for disjoint tenants can fan out
- * across the work-stealing executor with byte-identical results at
+ * across the pool (exec::ThreadPool) with byte-identical results at
  * any worker count.  The only cross-tenant coupling is the
  * epoch-batched cluster view installed by the FleetCoordinator
  * between epochs (see fleet/coordinator.h).

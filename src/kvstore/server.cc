@@ -45,8 +45,7 @@ KvServer::accept(const std::vector<workload::Op> &ops, sim::Tick now,
     if (crashed())
         return;
     // Replay the generator's block layout to attribute each offered op
-    // to its logical intake lane.  Pure function of (n, seq): the same
-    // tallies at any physical worker count.
+    // to its logical intake lane.  Pure function of (n, seq).
     if (!ops.empty()) {
         sim::ShardSpan spans[sim::kShards];
         const std::size_t blocks =

@@ -63,7 +63,7 @@ struct KvServerParams
  * offered RPC arrived on.  A real region server's RPC readers are a
  * small pool of reactor threads; this is the per-lane view of that
  * intake, attributed with the same pure `sim::shardLayout` the sharded
- * generators use, so it is identical for any physical worker count.
+ * generators use.
  */
 struct ShardIngest
 {

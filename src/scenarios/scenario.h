@@ -131,7 +131,7 @@ struct ScenarioResult
     /**
      * Data-plane ops served per logical shard (sim::kShards entries,
      * pinned lane order; empty for scenarios without a sharded
-     * producer).  Independent of the physical worker count — part of
+     * producer).  A function of the logical layout alone — part of
      * the byte-identical result surface — and the source of
      * bench_sweep's shard-imbalance stat.
      */

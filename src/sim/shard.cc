@@ -1,12 +1,5 @@
 #include "sim/shard.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <memory>
-#include <mutex>
-
-#include "exec/thread_pool.h"
-
 namespace smartconf::sim {
 
 ShardPlane::ShardPlane(const Rng &base) : control_(base)
@@ -17,97 +10,5 @@ ShardPlane::ShardPlane(const Rng &base) : control_(base)
         lane = walker;
     }
 }
-
-namespace {
-
-std::size_t
-shardWorkersFromEnv()
-{
-    if (const char *env = std::getenv("SMARTCONF_SHARD_WORKERS")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            return static_cast<std::size_t>(v);
-    }
-    return 1;
-}
-
-/**
- * Process-wide fan-out state.  The worker count is read lock-free on
- * the per-tick hot path; the pool is built lazily on the first
- * multi-worker fan-out and rebuilt (under the mutex) when the count
- * changes between runs.  Leaked deliberately: benches and tests fan
- * out from static-lifetime fixtures.
- */
-struct ShardExecState
-{
-    std::mutex mutex;
-    std::atomic<std::size_t> workers{shardWorkersFromEnv()};
-    std::atomic<exec::ThreadPool *> pool{nullptr};
-    std::unique_ptr<exec::ThreadPool> pool_owner;
-
-    static ShardExecState &instance()
-    {
-        static ShardExecState *state = new ShardExecState;
-        return *state;
-    }
-};
-
-} // namespace
-
-void
-setShardWorkers(std::size_t n)
-{
-    ShardExecState &state = ShardExecState::instance();
-    std::lock_guard<std::mutex> lock(state.mutex);
-    const std::size_t workers = n == 0 ? 1 : n;
-    if (state.workers.exchange(workers) == workers)
-        return;
-    // Count changed: retire the old pool (joins its helpers; callers
-    // are between runs per the contract) and let the next fan-out
-    // build the right-sized one.
-    state.pool.store(nullptr, std::memory_order_release);
-    state.pool_owner.reset();
-}
-
-std::size_t
-shardWorkers()
-{
-    return ShardExecState::instance().workers.load(
-        std::memory_order_relaxed);
-}
-
-namespace detail {
-
-void
-shardFanOutErased(std::size_t blocks, void *body,
-                  void (*invoke)(void *, std::size_t))
-{
-    ShardExecState &state = ShardExecState::instance();
-    const std::size_t workers =
-        state.workers.load(std::memory_order_relaxed);
-    if (blocks <= 1 || workers <= 1) {
-        for (std::size_t b = 0; b < blocks; ++b)
-            invoke(body, b);
-        return;
-    }
-    exec::ThreadPool *pool =
-        state.pool.load(std::memory_order_acquire);
-    if (pool == nullptr) {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        pool = state.pool.load(std::memory_order_relaxed);
-        if (pool == nullptr) {
-            // Caller participates in forkJoin, so N workers means N-1
-            // helper threads.
-            state.pool_owner = std::make_unique<exec::ThreadPool>(
-                state.workers.load(std::memory_order_relaxed) - 1);
-            pool = state.pool_owner.get();
-            state.pool.store(pool, std::memory_order_release);
-        }
-    }
-    pool->forkJoin(blocks,
-                   [&](std::size_t b) { invoke(body, b); });
-}
-
-} // namespace detail
 
 } // namespace smartconf::sim

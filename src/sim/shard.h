@@ -3,21 +3,19 @@
 
 /**
  * @file
- * Intra-run sharded data plane.
+ * Logical shard layout of a run's data plane.
  *
- * PRs 1-7 parallelized *across* runs; one simulation was still serial.
- * This layer partitions a run's per-tick data-plane work into a fixed
- * number of **logical shards** so the blocks of one tick can fan out
- * across the work-stealing executor — while the output stays
- * byte-identical at every worker count:
+ * A run's per-tick data-plane work is partitioned into a fixed number
+ * of **logical shards**.  The layout and the lane streams define the
+ * output; the blocks themselves run serially, in block order, on the
+ * run's thread.  Parallelism lives across runs and fleet groups
+ * (exec::ThreadPool), where the work is coarse: a block of at most
+ * kShardGranule ops costs less than any fork/join would.
  *
- *  - `kShards` is a compile-time constant (16), deliberately
- *    *independent* of the physical worker count: the (n, tick_seq) ->
+ *  - `kShards` is a compile-time constant (16): the (n, tick_seq) ->
  *    block/lane layout, the per-lane RNG streams and the per-lane
  *    scratch segments are all pure functions of the logical shard
- *    structure, so `--shard-workers 1` and `--shard-workers 8` execute
- *    the exact same draws against the exact same lanes and merge them
- *    in the same pinned order.
+ *    structure.
  *
  *  - Lane RNG streams are derived from one base generator by repeated
  *    `Rng::jump()` (2^128 steps apart — non-overlapping by
@@ -33,30 +31,20 @@
  *    tick_seq rotation spreads consecutive small ticks over all lanes
  *    so every lane's stream advances at roughly the same rate.
  *
- *  - Physical execution: `shardFanOut(blocks, body)` runs the block
- *    bodies serially when `shardWorkers() <= 1` (the default — zero
- *    threading overhead on 1-core hosts) and otherwise forks them into
- *    a process-wide shard pool via `exec::ThreadPool::forkJoin` (the
- *    caller participates; barrier-free join).  Bodies write disjoint
- *    output/scratch segments and touch only their own lane's state, so
- *    the fan-out is race-free by construction.
- *
- * Control loops stay single-threaded: sensors reduce over per-shard
- * counters at decision points (kernels::reduceSum / reduceMinMax, the
- * PR-7 pinned-order kernels), and chaos hooks keep firing once per
- * logical observation.
+ * Sensors reduce over per-shard counters at decision points
+ * (kernels::reduceSum / reduceMinMax, the pinned-order kernels), and
+ * chaos hooks keep firing once per logical observation.
  */
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 
 #include "sim/rng.h"
 
 namespace smartconf::sim {
 
-/** Fixed logical shard count — never varies with worker count. */
+/** Fixed logical shard count. */
 inline constexpr std::size_t kShards = 16;
 
 /** Target ops per block: typical ticks (n <= 32) stay one block. */
@@ -86,9 +74,8 @@ shardBlockCount(std::size_t n)
 /**
  * Compute the block layout of an n-op tick: spans[b] covers
  * [b*n/B, (b+1)*n/B) on lane (tick_seq + b) % kShards.  Pure function
- * of (n, tick_seq) — this is what makes the layout identical at every
- * worker count.  @p spans must hold kShards entries; returns the block
- * count B.
+ * of (n, tick_seq).  @p spans must hold kShards entries; returns the
+ * block count B.
  *
  * Inline with a divide-free single-block path: typical ticks are a
  * handful of ops, so the layout runs once per tick on every data-plane
@@ -152,47 +139,6 @@ class ShardPlane
     std::array<std::uint64_t, kShards> ops_{};
     std::uint64_t tick_seq_ = 0;
 };
-
-/**
- * Physical worker count for intra-run fan-out (process-wide).  1 (the
- * default, or SMARTCONF_SHARD_WORKERS) means run blocks inline on the
- * calling thread; N > 1 forks blocks into a shared pool of N-1 helper
- * threads with the caller participating.  Worker count never affects
- * results — only wall time.  Call between runs, not mid-run.
- */
-void setShardWorkers(std::size_t n);
-std::size_t shardWorkers();
-
-namespace detail {
-void shardFanOutErased(std::size_t blocks, void *body,
-                       void (*invoke)(void *, std::size_t));
-} // namespace detail
-
-/**
- * Run body(b) for every block b in [0, blocks): serially in block
- * order when shardWorkers() <= 1 or blocks <= 1, else via the shard
- * pool's forkJoin.  Bodies must confine themselves to their block's
- * lane state and output segment.
- */
-template <typename Body>
-void
-shardFanOut(std::size_t blocks, Body &&body)
-{
-    // Single-block ticks (the common case at typical op rates) run the
-    // body inline: no worker-count load, no type-erased dispatch.
-    if (blocks <= 1) {
-        if (blocks == 1)
-            body(std::size_t{0});
-        return;
-    }
-    detail::shardFanOutErased(
-        blocks,
-        const_cast<void *>(
-            static_cast<const void *>(std::addressof(body))),
-        [](void *b, std::size_t i) {
-            (*static_cast<std::remove_reference_t<Body> *>(b))(i);
-        });
-}
 
 } // namespace smartconf::sim
 

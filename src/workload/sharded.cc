@@ -44,10 +44,10 @@ ShardedYcsbGenerator::tickInto(std::vector<Op> &out)
     const std::uint64_t write_bound =
         sim::Rng::coinThreshold(params_.write_fraction);
 
-    // One body serves the single-block fast path and both fan-out
-    // paths: each block touches only its lane's Rng (distinct per
-    // block — blocks <= kShards) and its disjoint out/scratch/jitter
-    // segments, in the same SoA column order as YcsbGenerator.
+    // One body serves the single-block fast path and the multi-block
+    // loop: each block touches only its lane's Rng (distinct per
+    // block — blocks <= kShards) and its own out/scratch/jitter
+    // segment, in the same SoA column order as YcsbGenerator.
     Op *const ops = out.data();
     std::uint64_t *const scratch = scratch_.data();
     double *const jitter = jitter_.data();
@@ -77,14 +77,13 @@ ShardedYcsbGenerator::tickInto(std::vector<Op> &out)
     if (n <= sim::kShardGranule) {
         // Typical ticks are one block: same layout shardLayout would
         // produce ([0, n) on lane seq % kShards), without building the
-        // span table or entering the fan-out frame on every tick.
+        // span table on every tick.
         block_body(static_cast<std::size_t>(seq % sim::kShards), 0, n);
     } else {
         sim::ShardSpan spans[sim::kShards];
         const std::size_t blocks = sim::shardLayout(n, seq, spans);
-        sim::shardFanOut(blocks, [&](std::size_t b) {
+        for (std::size_t b = 0; b < blocks; ++b)
             block_body(spans[b].lane, spans[b].begin, spans[b].end);
-        });
     }
     generated_ += n;
 }
@@ -137,16 +136,15 @@ ShardedDfsioGenerator::tickInto(sim::Tick now,
         };
         if (n <= sim::kShardGranule) {
             // Single-block fast path: the layout shardLayout would
-            // produce, without the span table or the fan-out frame.
+            // produce, without the span table.
             block_body(static_cast<std::size_t>(seq % sim::kShards), 0,
                        n);
         } else {
             sim::ShardSpan spans[sim::kShards];
             const std::size_t blocks = sim::shardLayout(n, seq, spans);
-            sim::shardFanOut(blocks, [&](std::size_t b) {
+            for (std::size_t b = 0; b < blocks; ++b)
                 block_body(spans[b].lane, spans[b].begin,
                            spans[b].end);
-            });
         }
     }
     generated_ += n;

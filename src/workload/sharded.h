@@ -11,14 +11,13 @@
  * control stream, and each block of the batch is produced *entirely*
  * by its lane — coins, keys and size jitter drawn from that lane's
  * jump-derived stream into disjoint segments of the shared SoA
- * scratch buffers.  Because the (n, tick_seq) -> block/lane layout is
- * pure and every lane owns its gaussian spare, the generated batch is
- * byte-identical whether blocks run serially or fan out across
- * sim::shardFanOut's worker pool.
+ * scratch buffers.  The (n, tick_seq) -> block/lane layout is pure and
+ * every lane owns its gaussian spare, so the batch is a function of the
+ * layout alone; blocks run serially, in block order.
  *
  * The RNG stream this defines *differs* from the single-stream
- * generators (the one sanctioned re-pin of the sharded-data-plane PR);
- * from then on it is pinned at every worker count.
+ * generators (the one sanctioned re-pin of the sharded-data-plane
+ * change) and has been pinned since.
  */
 
 #include <cstdint>
@@ -44,10 +43,9 @@ class ShardedYcsbGenerator
 
     /**
      * Fill @p out (resized, buffer reused) with one tick's operations.
-     * Block bodies run under sim::shardFanOut — inline at
-     * shard-workers 1, forked otherwise — and write disjoint
-     * [begin, end) segments in the same struct-of-arrays column order
-     * as YcsbGenerator (coins, keys, sizes).
+     * Each block writes its own [begin, end) segment in the same
+     * struct-of-arrays column order as YcsbGenerator (coins, keys,
+     * sizes).
      */
     void tickInto(std::vector<Op> &out);
 

@@ -82,9 +82,8 @@ struct DiurnalCurve
 /**
  * Record @p ticks of a diurnal YCSB workload: a ShardedYcsbGenerator
  * seeded from @p rng produces each tick's batch (through the sharded
- * data plane, so the recorded trace is identical at any shard-worker
- * count) with ops/tick scaled by @p curve.  @p params supplies the
- * peak rate and mix.
+ * data plane's fixed lane layout) with ops/tick scaled by @p curve.
+ * @p params supplies the peak rate and mix.
  */
 Trace recordDiurnal(const YcsbParams &params, const DiurnalCurve &curve,
                     sim::Rng rng, sim::Tick ticks);

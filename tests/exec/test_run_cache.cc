@@ -1,7 +1,6 @@
 #include "exec/run_cache.h"
 
 #include <atomic>
-#include <future>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -78,19 +77,18 @@ TEST(RunCache, ExactlyOnceUnderConcurrency)
     std::atomic<int> executions{0};
     constexpr int kCallers = 64;
 
-    std::vector<std::future<double>> futures;
-    for (int i = 0; i < kCallers; ++i)
-        futures.push_back(pool.submit([&] {
-            return cache
-                .getOrRun("hot",
-                          [&executions] {
-                              executions.fetch_add(1);
-                              return makeResult(3.25);
-                          })
-                .tradeoff;
-        }));
-    for (auto &f : futures)
-        EXPECT_DOUBLE_EQ(f.get(), 3.25);
+    std::vector<double> seen(kCallers, 0.0);
+    pool.parallelFor(kCallers, [&](std::size_t i) {
+        seen[i] = cache
+                      .getOrRun("hot",
+                                [&executions] {
+                                    executions.fetch_add(1);
+                                    return makeResult(3.25);
+                                })
+                      .tradeoff;
+    });
+    for (const double v : seen)
+        EXPECT_DOUBLE_EQ(v, 3.25);
 
     // Racing callers joined the single in-flight run instead of
     // re-simulating: that is the whole point of the cache.

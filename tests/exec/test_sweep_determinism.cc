@@ -95,12 +95,11 @@ TEST(SweepDeterminism, Jobs1AndJobs8BitIdenticalForAllSixScenarios)
     EXPECT_EQ(parallel.cache().stats().hits, 0u);
 }
 
-TEST(SweepDeterminism, JobsAndShardWorkersMatrixBitIdentical)
+TEST(SweepDeterminism, JobsMatrixBitIdentical)
 {
-    // The sharded data plane's core guarantee: outputs are a pure
-    // function of the logical 16-shard layout, so every
-    // {--jobs} x {--shard-workers} combination — including one chaos
-    // campaign exercising the fault plane — is byte-identical.
+    // Outputs are a pure function of each run's parameters and its
+    // logical 16-shard layout, so every --jobs value — including one
+    // chaos campaign exercising the fault plane — is byte-identical.
     std::vector<SweepJob> jobs = allScenarioJobs();
     jobs.push_back(SweepJob::forScenario(
         "HB3813",
@@ -108,31 +107,22 @@ TEST(SweepDeterminism, JobsAndShardWorkersMatrixBitIdentical)
             smartconf::fault::ChaosSpec::kitchenSink(7)),
         1));
 
-    smartconf::sim::setShardWorkers(1);
     SweepRunner base(SweepOptions{1, true});
     const std::vector<ScenarioResult> ref = base.run(jobs);
     ASSERT_EQ(ref.size(), jobs.size());
 
-    for (const std::size_t njobs : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}}) {
-        for (const std::size_t sw : {std::size_t{1}, std::size_t{4}}) {
-            if (njobs == 1 && sw == 1)
-                continue; // that's the reference
-            smartconf::sim::setShardWorkers(sw);
-            SweepRunner runner(SweepOptions{njobs, true});
-            const std::vector<ScenarioResult> got = runner.run(jobs);
-            ASSERT_EQ(got.size(), ref.size());
-            for (std::size_t i = 0; i < ref.size(); ++i) {
-                SCOPED_TRACE("jobs=" + std::to_string(njobs) +
-                             " shard_workers=" + std::to_string(sw) +
-                             " job #" + std::to_string(i) + " (" +
-                             ref[i].scenario_id + ", " +
-                             ref[i].policy_label + ")");
-                expectResultIdentical(ref[i], got[i]);
-            }
+    for (const std::size_t njobs : {std::size_t{2}, std::size_t{8}}) {
+        SweepRunner runner(SweepOptions{njobs, true, {}});
+        const std::vector<ScenarioResult> got = runner.run(jobs);
+        ASSERT_EQ(got.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            SCOPED_TRACE("jobs=" + std::to_string(njobs) + " job #" +
+                         std::to_string(i) + " (" +
+                         ref[i].scenario_id + ", " +
+                         ref[i].policy_label + ")");
+            expectResultIdentical(ref[i], got[i]);
         }
     }
-    smartconf::sim::setShardWorkers(1);
 }
 
 TEST(SweepDeterminism, ShardOpsSumMatchesOpsSimulated)
@@ -140,7 +130,6 @@ TEST(SweepDeterminism, ShardOpsSumMatchesOpsSimulated)
     // The per-shard counters partition the generated workload: lanes
     // sum to the run's ops_simulated for every generator-driven
     // scenario (MR2820 counts completed tasks on both sides too).
-    smartconf::sim::setShardWorkers(1);
     SweepRunner runner(SweepOptions{1, true});
     for (const char *id : {"HB3813", "HB6728", "HB2149", "CA6059",
                            "HD4995", "MR2820"}) {
@@ -221,6 +210,30 @@ TEST(SweepDeterminism, JobExceptionPropagatesFromRun)
     EXPECT_THROW(serial.run(jobs), std::runtime_error);
     SweepRunner parallel(SweepOptions{4, true});
     EXPECT_THROW(parallel.run(jobs), std::runtime_error);
+
+    // The throwing job first, then a keyed one: the keyed job still
+    // runs at every --jobs, so the cache (and the disk store behind
+    // it) ends a failing sweep in the same state.
+    std::vector<SweepJob> failing_first;
+    failing_first.push_back(SweepJob::custom("", []() -> ScenarioResult {
+        throw std::runtime_error("job failed");
+    }));
+    failing_first.push_back(SweepJob::custom("k2", [] {
+        ScenarioResult r;
+        r.scenario_id = "k2";
+        return r;
+    }));
+    SweepRunner serial_ff(SweepOptions{1, true, {}});
+    SweepRunner parallel_ff(SweepOptions{4, true, {}});
+    EXPECT_THROW(serial_ff.run(failing_first), std::runtime_error);
+    EXPECT_THROW(parallel_ff.run(failing_first), std::runtime_error);
+    EXPECT_EQ(serial_ff.cache().size(), 1u);
+    EXPECT_EQ(serial_ff.cache().stats().misses, 1u);
+    EXPECT_EQ(serial_ff.cache().size(), parallel_ff.cache().size());
+    EXPECT_EQ(serial_ff.cache().stats().misses,
+              parallel_ff.cache().stats().misses);
+    EXPECT_EQ(serial_ff.cache().stats().hits,
+              parallel_ff.cache().stats().hits);
 }
 
 TEST(SweepDeterminism, UnknownScenarioIdThrows)

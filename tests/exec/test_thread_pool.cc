@@ -1,10 +1,23 @@
+/**
+ * @file
+ * Contract of the index-claiming pool: results land at their own
+ * index, every index runs exactly once, a pool of k never uses more
+ * than k threads (the caller among them), pools of 0 and 1 run inline
+ * in index order, concurrent callers are serialized, and the
+ * lowest-index exception is rethrown after every index has run.  The
+ * ThreadPool* suites run under the tsan preset (see CMakePresets.json).
+ */
+
 #include "exec/thread_pool.h"
 
 #include <atomic>
 #include <chrono>
-#include <future>
-#include <numeric>
+#include <condition_variable>
+#include <cstddef>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,19 +27,13 @@ namespace {
 
 using smartconf::exec::ThreadPool;
 
-TEST(ThreadPool, SubmitReturnsResult)
-{
-    ThreadPool pool(2);
-    EXPECT_EQ(pool.size(), 2u);
-    std::future<int> f = pool.submit([] { return 41 + 1; });
-    EXPECT_EQ(f.get(), 42);
-}
-
 TEST(ThreadPool, ZeroThreadsClampsToOne)
 {
     ThreadPool pool(0);
     EXPECT_EQ(pool.size(), 1u);
-    EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
+    int ran = 0;
+    pool.parallelFor(7, [&](std::size_t) { ++ran; });
+    EXPECT_EQ(ran, 7);
 }
 
 TEST(ThreadPool, DefaultConcurrencyAtLeastOne)
@@ -37,183 +44,190 @@ TEST(ThreadPool, DefaultConcurrencyAtLeastOne)
 TEST(ThreadPool, ManyTasksAllComplete)
 {
     ThreadPool pool(4);
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 500; ++i)
-        futures.push_back(pool.submit([i] { return i; }));
+    std::vector<int> out(500, -1);
+    pool.parallelFor(out.size(), [&](std::size_t i) {
+        out[i] = static_cast<int>(i);
+    });
     int sum = 0;
-    for (auto &f : futures)
-        sum += f.get();
+    for (const int v : out)
+        sum += v;
     EXPECT_EQ(sum, 499 * 500 / 2);
 }
 
-TEST(ThreadPool, ExceptionPropagatesThroughFuture)
+TEST(ThreadPool, PoolsOfZeroAndOneRunInlineInIndexOrder)
 {
-    ThreadPool pool(2);
-    std::future<int> ok = pool.submit([] { return 1; });
-    std::future<int> bad = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_EQ(ok.get(), 1);
-    EXPECT_THROW(bad.get(), std::runtime_error);
-    // The pool survives a throwing task.
-    EXPECT_EQ(pool.submit([] { return 2; }).get(), 2);
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{1}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        ThreadPool pool(threads);
+        const std::thread::id caller = std::this_thread::get_id();
+        std::vector<std::size_t> order;
+        bool all_on_caller = true;
+        pool.parallelFor(64, [&](std::size_t i) {
+            order.push_back(i); // unsynchronized: one thread only
+            all_on_caller &= std::this_thread::get_id() == caller;
+        });
+        EXPECT_TRUE(all_on_caller);
+        ASSERT_EQ(order.size(), 64u);
+        for (std::size_t i = 0; i < order.size(); ++i)
+            EXPECT_EQ(order[i], i);
+    }
 }
 
-TEST(ThreadPool, SubmitFromManyThreadsStress)
+TEST(ThreadPool, NeverRunsBodiesOnMoreThreadsThanItsSize)
 {
     ThreadPool pool(4);
-    constexpr int kSubmitters = 8;
-    constexpr int kTasksEach = 200;
-    std::atomic<int> executed{0};
-
-    std::vector<std::thread> submitters;
-    std::vector<std::vector<std::future<int>>> futures(kSubmitters);
-    for (int s = 0; s < kSubmitters; ++s) {
-        submitters.emplace_back([&, s] {
-            for (int i = 0; i < kTasksEach; ++i)
-                futures[s].push_back(pool.submit([&executed, i] {
-                    executed.fetch_add(1, std::memory_order_relaxed);
-                    return i;
-                }));
+    EXPECT_EQ(pool.size(), 4u);
+    std::mutex mutex;
+    std::set<std::thread::id> runners;
+    for (int round = 0; round < 20; ++round)
+        pool.parallelFor(256, [&](std::size_t) {
+            std::this_thread::sleep_for(std::chrono::microseconds(20));
+            std::lock_guard<std::mutex> lock(mutex);
+            runners.insert(std::this_thread::get_id());
         });
-    }
-    for (std::thread &t : submitters)
+    EXPECT_GE(runners.size(), 1u);
+    EXPECT_LE(runners.size(), 4u);
+}
+
+TEST(ThreadPool, CallerIsOneOfTheRunners)
+{
+    // One helper, two indices that wait for each other: they can only
+    // both be in flight if the calling thread runs one of them.
+    ThreadPool pool(2);
+    std::mutex mutex;
+    std::condition_variable cv;
+    int arrived = 0;
+    std::set<std::thread::id> runners;
+    pool.parallelFor(2, [&](std::size_t) {
+        std::unique_lock<std::mutex> lock(mutex);
+        runners.insert(std::this_thread::get_id());
+        ++arrived;
+        cv.notify_all();
+        ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                                [&] { return arrived == 2; }));
+    });
+    EXPECT_EQ(runners.size(), 2u);
+    EXPECT_EQ(runners.count(std::this_thread::get_id()), 1u);
+}
+
+TEST(ThreadPool, ConcurrentCallersEachGetEveryIndexOnce)
+{
+    ThreadPool pool(4);
+    constexpr std::size_t kN = 1000;
+    constexpr int kRounds = 50;
+    std::vector<std::atomic<int>> hits[2] = {
+        std::vector<std::atomic<int>>(kN),
+        std::vector<std::atomic<int>>(kN)};
+    std::vector<std::thread> callers;
+    for (int c = 0; c < 2; ++c)
+        callers.emplace_back([&, c] {
+            for (int round = 0; round < kRounds; ++round)
+                pool.parallelFor(kN, [&](std::size_t i) {
+                    hits[c][i].fetch_add(1, std::memory_order_relaxed);
+                });
+        });
+    for (std::thread &t : callers)
         t.join();
-
-    int sum = 0;
-    for (auto &per_thread : futures)
-        for (auto &f : per_thread)
-            sum += f.get();
-    EXPECT_EQ(executed.load(), kSubmitters * kTasksEach);
-    EXPECT_EQ(sum, kSubmitters * (kTasksEach - 1) * kTasksEach / 2);
+    for (int c = 0; c < 2; ++c)
+        for (std::size_t i = 0; i < kN; ++i)
+            ASSERT_EQ(hits[c][i].load(), kRounds)
+                << "caller " << c << " index " << i;
 }
 
-TEST(ThreadPool, WorkerCanSubmitFollowUpWork)
+TEST(ThreadPoolStress, SkewedTaskDurationsAllComplete)
 {
-    ThreadPool pool(2);
-    // The outer task submits the inner one and hands back its future
-    // without blocking on it (blocking inside a worker could deadlock
-    // a saturated pool).
-    std::future<std::future<int>> outer =
-        pool.submit([&pool] { return pool.submit([] { return 9; }); });
-    EXPECT_EQ(outer.get().get(), 9);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks)
-{
-    std::atomic<int> executed{0};
-    {
-        ThreadPool pool(1);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&executed] {
-                std::this_thread::sleep_for(std::chrono::microseconds(100));
-                executed.fetch_add(1);
-            });
-    } // ~ThreadPool joins after the queue drains
-    EXPECT_EQ(executed.load(), 50);
-}
-
-TEST(ThreadPool, ForkJoinRunsEveryIndexExactlyOnce)
-{
+    // A few grinding indices next to many trivial ones: the other
+    // runners must keep draining the short tail while the long ones
+    // pin theirs.
     ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(1000);
-    pool.forkJoin(hits.size(),
-                  [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ForkJoinSmallCasesInline)
-{
-    ThreadPool pool(2);
-    int ran = 0;
-    pool.forkJoin(0, [&](std::size_t) { ++ran; });
-    EXPECT_EQ(ran, 0);
-    pool.forkJoin(1, [&](std::size_t i) {
-        EXPECT_EQ(i, 0u);
-        ++ran;
-    });
-    EXPECT_EQ(ran, 1);
-}
-
-TEST(ThreadPool, ForkJoinReusableAcrossCalls)
-{
-    ThreadPool pool(3);
-    std::atomic<long> sum{0};
-    for (int round = 0; round < 50; ++round)
-        pool.forkJoin(64, [&](std::size_t i) {
-            sum.fetch_add(static_cast<long>(i));
-        });
-    EXPECT_EQ(sum.load(), 50L * (63 * 64 / 2));
-}
-
-TEST(ThreadPool, ForkJoinPropagatesException)
-{
-    ThreadPool pool(4);
-    EXPECT_THROW(pool.forkJoin(100,
-                               [](std::size_t i) {
-                                   if (i == 37)
-                                       throw std::runtime_error("i37");
-                               }),
-                 std::runtime_error);
-    // The pool survives and keeps working.
-    std::atomic<int> n{0};
-    pool.forkJoin(8, [&](std::size_t) { n.fetch_add(1); });
-    EXPECT_EQ(n.load(), 8);
-}
-
-TEST(ThreadPool, ForkJoinStealStressAcrossWorkersMidTick)
-{
-    // The tsan target for the sharded data plane: skewed per-block
-    // work forces idle runners to steal blocks from other stripes
-    // mid-"tick" while unrelated submit() traffic churns the deques.
-    ThreadPool pool(4);
-    ThreadPool churn(2);
-    std::atomic<bool> stop{false};
-    std::future<void> noise = churn.submit([&] {
-        while (!stop.load()) {
-            std::vector<std::future<int>> fs;
-            for (int i = 0; i < 16; ++i)
-                fs.push_back(pool.submit([i] { return i; }));
-            for (auto &f : fs)
-                f.get();
+    constexpr std::size_t kTasks = 400;
+    std::vector<long> out(kTasks, -1);
+    pool.parallelFor(kTasks, [&](std::size_t i) {
+        if (i % 37 == 0) {
+            // Grinder: ~100x the work of the short indices.
+            volatile long acc = 0;
+            for (long k = 0; k < 200000; ++k)
+                acc = acc + k;
+            out[i] = acc >= 0 ? static_cast<long>(i) : -1;
+            return;
         }
+        out[i] = static_cast<long>(i);
     });
-
-    std::vector<std::atomic<int>> hits(16);
-    for (int round = 0; round < 200; ++round) {
-        for (auto &h : hits)
-            h.store(0);
-        pool.forkJoin(hits.size(), [&](std::size_t b) {
-            // Block 0 is ~100x the work of block 15: the home-stripe
-            // owner of the cheap tail must wrap-scan into other
-            // stripes to finish the tick.
-            volatile double acc = 0.0;
-            const int work = 100 * static_cast<int>(hits.size() - b);
-            for (int k = 0; k < work; ++k)
-                acc = acc + static_cast<double>(k);
-            hits[b].fetch_add(1);
-        });
-        for (auto &h : hits)
-            ASSERT_EQ(h.load(), 1);
-    }
-    stop.store(true);
-    noise.get();
+    long sum = 0;
+    for (const long v : out)
+        sum += v;
+    EXPECT_EQ(sum, static_cast<long>(kTasks - 1) * kTasks / 2);
 }
 
-TEST(ThreadPool, ForkJoinFromAnotherPoolsWorker)
+TEST(ThreadPoolParallelFor, ResultsLandAtOwnIndex)
 {
-    // The sharded data plane calls the global shard pool's forkJoin
-    // from a SweepRunner worker thread — i.e. from a *different*
-    // pool's worker.  That nesting must complete and produce every
-    // index.
-    ThreadPool outer(2);
-    ThreadPool inner(2);
-    std::future<int> f = outer.submit([&] {
-        std::atomic<int> n{0};
-        inner.forkJoin(100, [&](std::size_t) { n.fetch_add(1); });
-        return n.load();
+    ThreadPool pool(4);
+    constexpr std::size_t kN = 1000;
+    std::vector<std::size_t> out(kN, 0);
+    pool.parallelFor(kN, [&](std::size_t i) { out[i] = i * 3 + 1; });
+    for (std::size_t i = 0; i < kN; ++i)
+        ASSERT_EQ(out[i], i * 3 + 1) << "index " << i;
+}
+
+TEST(ThreadPoolParallelFor, ZeroIterationsIsANoop)
+{
+    ThreadPool pool(2);
+    bool touched = false;
+    pool.parallelFor(0, [&](std::size_t) { touched = true; });
+    EXPECT_FALSE(touched);
+}
+
+TEST(ThreadPoolParallelFor, FewerItemsThanWorkers)
+{
+    ThreadPool pool(8);
+    std::vector<int> out(3, 0);
+    pool.parallelFor(3, [&](std::size_t i) {
+        out[i] = static_cast<int>(i) + 10;
     });
-    EXPECT_EQ(f.get(), 100);
+    EXPECT_EQ(out[0], 10);
+    EXPECT_EQ(out[1], 11);
+    EXPECT_EQ(out[2], 12);
+}
+
+TEST(ThreadPoolParallelFor, LowestIndexExceptionWinsAndAllIndicesRun)
+{
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        ThreadPool pool(threads);
+        constexpr std::size_t kN = 500;
+        std::atomic<std::size_t> ran{0};
+        try {
+            pool.parallelFor(kN, [&](std::size_t i) {
+                ran.fetch_add(1, std::memory_order_relaxed);
+                if (i == 3 || i == 250 || i == 400)
+                    throw std::runtime_error("body " +
+                                             std::to_string(i));
+            });
+            FAIL() << "expected parallelFor to rethrow";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "body 3");
+        }
+        // Every index still executed; a throwing body does not abort
+        // the rest of the grid.
+        EXPECT_EQ(ran.load(), kN);
+        // The pool survives and keeps working.
+        std::atomic<int> n{0};
+        pool.parallelFor(8, [&](std::size_t) { n.fetch_add(1); });
+        EXPECT_EQ(n.load(), 8);
+    }
+}
+
+TEST(ThreadPoolParallelFor, RepeatedCalls)
+{
+    ThreadPool pool(4);
+    std::vector<double> out(256, 0.0);
+    for (int round = 0; round < 10; ++round) {
+        pool.parallelFor(out.size(), [&](std::size_t i) {
+            out[i] = static_cast<double>(i) * round;
+        });
+        for (std::size_t i = 0; i < out.size(); ++i)
+            ASSERT_EQ(out[i], static_cast<double>(i) * round);
+    }
 }
 
 } // namespace

@@ -2,10 +2,9 @@
  * @file
  * Fleet determinism across executor configurations: the results that
  * feed bench_fleet's JSON payload must be identical whether the epoch
- * bodies run inline, on the process-wide shard pool, or on a
- * dedicated work-stealing pool of any size.  This is the in-process
- * half of the `bench_fleet --json` byte-identity that CI checks via
- * the payload sha across the --jobs x --shard-workers matrix.
+ * bodies run in a plain loop or on a pool of any size.  This is the
+ * in-process half of the `bench_fleet --json` byte-identity that CI
+ * checks via the payload sha at every --jobs value.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 
 #include "exec/thread_pool.h"
 #include "fleet/fleet.h"
-#include "sim/shard.h"
 
 namespace smartconf::fleet {
 namespace {
@@ -76,10 +74,10 @@ TEST(FleetDeterminism, PoolSizeDoesNotChangeResults)
 {
     for (const FleetParams &base : testFleets()) {
         SCOPED_TRACE(label(base));
-        // Reference: fully inline (no pool, serial shard plane).
+        // Reference: no pool, the groups run in a plain loop.
         const FleetResult serial = runFleet(base);
 
-        for (const std::size_t jobs : {2u, 8u}) {
+        for (const std::size_t jobs : {1u, 2u, 8u}) {
             exec::ThreadPool pool(jobs);
             FleetParams p = base;
             p.pool = &pool;
@@ -87,20 +85,6 @@ TEST(FleetDeterminism, PoolSizeDoesNotChangeResults)
             SCOPED_TRACE("jobs=" + std::to_string(jobs));
             expectIdentical(serial, parallel);
         }
-    }
-}
-
-TEST(FleetDeterminism, ShardWorkersDoNotChangeResults)
-{
-    for (const FleetParams &p : testFleets()) {
-        SCOPED_TRACE(label(p));
-        const std::size_t before = sim::shardWorkers();
-        sim::setShardWorkers(1);
-        const FleetResult serial = runFleet(p);
-        sim::setShardWorkers(4);
-        const FleetResult sharded = runFleet(p);
-        sim::setShardWorkers(before);
-        expectIdentical(serial, sharded);
     }
 }
 

@@ -14,6 +14,7 @@
  * alias tables, and raw words at the integer extremes.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -461,7 +462,10 @@ TEST(Kernels, CopyBytesCopiesExactlyAtEveryLevel)
             // Guard bytes on both sides catch overwrites.
             std::vector<unsigned char> dst(n + 64, 0xAA);
             kernels::copyBytes(dst.data() + 32, src.data(), n);
-            EXPECT_EQ(std::memcmp(dst.data() + 32, src.data(), n), 0)
+            // std::equal, not memcmp: at n = 0 src.data() may be null,
+            // which memcmp does not accept even for a zero length.
+            EXPECT_TRUE(std::equal(src.begin(), src.end(),
+                                   dst.begin() + 32))
                 << "n=" << n;
             for (std::size_t i = 0; i < 32; ++i) {
                 ASSERT_EQ(dst[i], 0xAA) << "front guard, n=" << n;

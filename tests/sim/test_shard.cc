@@ -1,8 +1,6 @@
 #include "sim/shard.h"
 
-#include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <set>
 #include <vector>
 
@@ -15,13 +13,10 @@ namespace {
 using smartconf::sim::kShardGranule;
 using smartconf::sim::kShards;
 using smartconf::sim::Rng;
-using smartconf::sim::setShardWorkers;
 using smartconf::sim::shardBlockCount;
-using smartconf::sim::shardFanOut;
 using smartconf::sim::shardLayout;
 using smartconf::sim::ShardPlane;
 using smartconf::sim::ShardSpan;
-using smartconf::sim::shardWorkers;
 
 TEST(ShardLayout, BlockCountClampsBetweenOneAndShards)
 {
@@ -112,53 +107,6 @@ TEST(ShardPlane, OpsCountersAccumulatePerLane)
     EXPECT_EQ(plane.opsPerShard()[3], 15u);
     EXPECT_EQ(plane.opsPerShard()[0], 1u);
     EXPECT_EQ(plane.opsPerShard()[1], 0u);
-}
-
-TEST(ShardFanOut, RunsEveryBlockExactlyOnceSerially)
-{
-    setShardWorkers(1);
-    std::vector<int> hits(kShards, 0);
-    shardFanOut(kShards, [&](std::size_t b) { ++hits[b]; });
-    for (std::size_t b = 0; b < kShards; ++b)
-        EXPECT_EQ(hits[b], 1);
-}
-
-TEST(ShardFanOut, RunsEveryBlockExactlyOnceForked)
-{
-    setShardWorkers(4);
-    EXPECT_EQ(shardWorkers(), 4u);
-    std::atomic<int> hits[kShards] = {};
-    shardFanOut(kShards,
-                [&](std::size_t b) { hits[b].fetch_add(1); });
-    for (std::size_t b = 0; b < kShards; ++b)
-        EXPECT_EQ(hits[b].load(), 1);
-    setShardWorkers(1);
-}
-
-TEST(ShardFanOut, WorkerCountDoesNotChangeLaneDraws)
-{
-    // The determinism contract at generator level: each block draws
-    // from its own lane into its own slots, so the filled buffer is
-    // identical serial vs forked.
-    auto fill = [](std::vector<std::uint64_t> &out) {
-        ShardPlane plane(Rng(77));
-        ShardSpan spans[kShards];
-        const std::size_t n = out.size();
-        const std::size_t blocks = shardLayout(n, 5, spans);
-        std::uint64_t *const p = out.data();
-        shardFanOut(blocks, [&](std::size_t b) {
-            plane.lane(spans[b].lane)
-                .fillRaw(p + spans[b].begin,
-                         spans[b].end - spans[b].begin);
-        });
-    };
-    std::vector<std::uint64_t> serial(2000), forked(2000);
-    setShardWorkers(1);
-    fill(serial);
-    setShardWorkers(4);
-    fill(forked);
-    setShardWorkers(1);
-    EXPECT_EQ(serial, forked);
 }
 
 } // namespace

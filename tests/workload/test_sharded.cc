@@ -33,42 +33,6 @@ dfsioParams(std::uint64_t clients = 6)
     return p;
 }
 
-bool
-opsEqual(const std::vector<Op> &a, const std::vector<Op> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        if (a[i].type != b[i].type || a[i].key != b[i].key ||
-            a[i].size_mb != b[i].size_mb)
-            return false;
-    return true;
-}
-
-TEST(ShardedYcsb, ByteIdenticalAcrossShardWorkerCounts)
-{
-    // The tentpole contract: the generated stream is a pure function
-    // of the logical 16-shard layout, so running the blocks serially
-    // or forked across 4 workers produces the same bytes.
-    std::vector<std::vector<Op>> streams[2];
-    const std::size_t workers[2] = {1, 4};
-    for (int w = 0; w < 2; ++w) {
-        sim::setShardWorkers(workers[w]);
-        ShardedYcsbGenerator gen(ycsbParams(0.5), sim::Rng(11));
-        for (int t = 0; t < 50; ++t) {
-            std::vector<Op> ops;
-            gen.tickInto(ops);
-            streams[w].push_back(std::move(ops));
-        }
-    }
-    sim::setShardWorkers(1);
-    ASSERT_EQ(streams[0].size(), streams[1].size());
-    for (std::size_t t = 0; t < streams[0].size(); ++t) {
-        SCOPED_TRACE("tick " + std::to_string(t));
-        EXPECT_TRUE(opsEqual(streams[0][t], streams[1][t]));
-    }
-}
-
 TEST(ShardedYcsb, ShardCountersSumToGenerated)
 {
     ShardedYcsbGenerator gen(ycsbParams(0.5), sim::Rng(12));
@@ -110,34 +74,6 @@ TEST(ShardedYcsb, LastSeqAdvancesPerTick)
     EXPECT_EQ(gen.lastSeq(), 0u);
     gen.tickInto(ops);
     EXPECT_EQ(gen.lastSeq(), 1u);
-}
-
-TEST(ShardedDfsio, ByteIdenticalAcrossShardWorkerCounts)
-{
-    std::vector<std::vector<DfsRequest>> streams[2];
-    const std::size_t workers[2] = {1, 4};
-    for (int w = 0; w < 2; ++w) {
-        sim::setShardWorkers(workers[w]);
-        ShardedDfsioGenerator gen(dfsioParams(), sim::Rng(21));
-        for (sim::Tick t = 0; t < 50; ++t) {
-            std::vector<DfsRequest> reqs;
-            gen.tickInto(t, reqs);
-            streams[w].push_back(std::move(reqs));
-        }
-    }
-    sim::setShardWorkers(1);
-    ASSERT_EQ(streams[0].size(), streams[1].size());
-    for (std::size_t t = 0; t < streams[0].size(); ++t) {
-        SCOPED_TRACE("tick " + std::to_string(t));
-        const auto &a = streams[0][t];
-        const auto &b = streams[1][t];
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            EXPECT_EQ(a[i].type, b[i].type);
-            EXPECT_EQ(a[i].client, b[i].client);
-            EXPECT_EQ(a[i].file_count, b[i].file_count);
-        }
-    }
 }
 
 TEST(ShardedDfsio, EmitsPeriodicDuAndCountsIt)

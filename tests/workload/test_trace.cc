@@ -159,22 +159,6 @@ TEST(Diurnal, RecordedTraceFollowsTheCurve)
     EXPECT_GT(peak_ops, trough_ops * 2);
 }
 
-TEST(Diurnal, RecordingIsDeterministicAcrossShardWorkerCounts)
-{
-    YcsbParams p;
-    p.write_fraction = 0.5;
-    p.ops_per_tick = 300.0;
-    p.burstiness = 0.2;
-    const DiurnalCurve curve;
-
-    sim::setShardWorkers(1);
-    const Trace serial = recordDiurnal(p, curve, sim::Rng(32), 60);
-    sim::setShardWorkers(4);
-    const Trace forked = recordDiurnal(p, curve, sim::Rng(32), 60);
-    sim::setShardWorkers(1);
-    EXPECT_EQ(serial.serialize(), forked.serialize());
-}
-
 TEST(Diurnal, ReplayDrivesAMemtableScenarioSmoke)
 {
     // Scenario smoke: a recorded diurnal day replayed through the

@@ -1,171 +1,20 @@
 /**
  * @file
- * Microbenchmarks for the discrete-event substrate (google-benchmark).
+ * Microbenchmarks for the simulation substrate (google-benchmark).
  *
  * Every figure, ablation, and sweep in this repo runs through the
- * EventQueue / metrics / Zipfian hot paths measured here — the
- * micro-level counterpart to bench_micro_controller.  The allocation
- * counters (allocs_per_iter) double as the proof obligation that the
- * steady-state scheduling path — periodic rearm and one-shot slot
- * recycling — performs no heap allocation at all.
+ * metrics and Zipfian hot paths measured here — the micro-level
+ * counterpart to bench_micro_controller.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <cstddef>
-#include <cstdlib>
-#include <new>
-
-#include "sim/event_queue.h"
 #include "sim/metrics.h"
 #include "sim/rng.h"
 
 namespace {
 
-/**
- * Global operator new/delete instrumentation.  Counting is always on
- * (the counter is a plain word increment); benchmarks snapshot it
- * around their hot loop and report the per-iteration delta.
- */
-std::size_t g_allocs = 0;
-
-} // namespace
-
-// Our replacement operator new hands out malloc() memory, so free()
-// in the matching deletes is correct; GCC cannot see that pairing.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void *
-operator new(std::size_t size)
-{
-    ++g_allocs;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    ++g_allocs;
-    return std::malloc(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
-namespace {
-
 using namespace smartconf;
-
-void
-reportAllocs(benchmark::State &state, std::size_t before)
-{
-    state.counters["allocs_per_iter"] = benchmark::Counter(
-        static_cast<double>(g_allocs - before),
-        benchmark::Counter::kAvgIterations);
-}
-
-/** One-shot schedule -> fire cycle with a warm pool: the steady state
- *  of every ad-hoc event in a run.  Expect allocs_per_iter == 0. */
-void
-BM_EventScheduleFire(benchmark::State &state)
-{
-    sim::Clock clock;
-    sim::EventQueue q(clock);
-    long fired = 0;
-    // Warm the pool so the measurement sees the steady state.
-    q.scheduleAfter(1, [&fired] { ++fired; });
-    q.runUntil(clock.now() + 1);
-
-    const std::size_t before = g_allocs;
-    for (auto _ : state) {
-        q.scheduleAfter(1, [&fired] { ++fired; });
-        q.runUntil(clock.now() + 1);
-        benchmark::DoNotOptimize(fired);
-    }
-    reportAllocs(state, before);
-}
-BENCHMARK(BM_EventScheduleFire);
-
-/** Schedule followed by cancel: the lazy-cancellation path.  The
- *  cancelled entry is discarded when its tick is reached. */
-void
-BM_EventScheduleCancel(benchmark::State &state)
-{
-    sim::Clock clock;
-    sim::EventQueue q(clock);
-    q.scheduleAfter(1, [] {});
-    q.runUntil(clock.now() + 1);
-
-    const std::size_t before = g_allocs;
-    for (auto _ : state) {
-        const sim::EventId id = q.scheduleAfter(1, [] {});
-        q.cancel(id);
-        q.runUntil(clock.now() + 1);
-        benchmark::DoNotOptimize(id);
-    }
-    reportAllocs(state, before);
-}
-BENCHMARK(BM_EventScheduleCancel);
-
-/** Periodic rearm: one pooled entry re-pushed in place per firing —
- *  the per-tick cost of every scenario driver loop.  Expect
- *  allocs_per_iter == 0. */
-void
-BM_EventPeriodicRearm(benchmark::State &state)
-{
-    sim::Clock clock;
-    sim::EventQueue q(clock);
-    long fired = 0;
-    q.schedulePeriodic(1, [&fired] { ++fired; });
-    q.runUntil(clock.now() + 1); // first firing warms the entry
-
-    const std::size_t before = g_allocs;
-    for (auto _ : state) {
-        q.runUntil(clock.now() + 1);
-        benchmark::DoNotOptimize(fired);
-    }
-    reportAllocs(state, before);
-}
-BENCHMARK(BM_EventPeriodicRearm);
-
-/** Three interleaved periodics (step / control / metrics), as the
- *  scenario drivers register them. */
-void
-BM_EventThreePeriodics(benchmark::State &state)
-{
-    sim::Clock clock;
-    sim::EventQueue q(clock);
-    long a = 0, b = 0, c = 0;
-    q.schedulePeriodic(1, [&a] { ++a; });
-    q.schedulePeriodic(5, [&b] { ++b; });
-    q.schedulePeriodic(1, [&c] { ++c; });
-    q.runUntil(clock.now() + 5);
-
-    const std::size_t before = g_allocs;
-    for (auto _ : state) {
-        q.runUntil(clock.now() + 1);
-        benchmark::DoNotOptimize(a + b + c);
-    }
-    reportAllocs(state, before);
-}
-BENCHMARK(BM_EventThreePeriodics);
 
 /** Repeated percentile queries between mutations: first query after a
  *  record() pays nth_element, later ones hit the sorted cache. */

@@ -40,8 +40,6 @@ void
 SmartConfRuntime::loadProfileText(const std::string &text)
 {
     const ProfileFile parsed = parseProfileFile(text);
-    if (parsed.conf.empty())
-        throw std::runtime_error("profile store misses 'conf = <name>'");
     installProfile(parsed.conf, parsed.summary);
     ConfState &state = stateFor(parsed.conf);
     for (const auto &pt : parsed.samples)

@@ -21,9 +21,13 @@
  *     the synthesized parameters and the raw samples, flushed by
  *     profiling mode and read back when the controller is initialized.
  *
- * All formats are line-based `key = value` with hash, double-slash and
- * C-style block comments.  Parsers throw std::runtime_error with a line number on
- * malformed input.
+ * All formats are line-based `key = value`; a line is cut at its first
+ * comment marker (hash, double-slash, or a C-style block, which must be
+ * closed).  Names are single tokens free of `=`, `@` and comment
+ * markers, and numbers are finite.  Parsers throw, with a line number,
+ * std::invalid_argument for a non-finite number and std::runtime_error
+ * for anything else malformed.  Formatters throw std::invalid_argument
+ * rather than write what would not parse back unchanged.
  */
 
 #include <map>
@@ -79,7 +83,11 @@ UserConf parseUserConf(const std::string &text);
 /** Parse a profiling store. @throws std::runtime_error. */
 ProfileFile parseProfileFile(const std::string &text);
 
-/** Serialize back to the textual format (round-trip safe). */
+/**
+ * Serialize back to the textual format: parse returns the input
+ * unchanged.  @throws std::invalid_argument for a name or number the
+ * parser would reject or read back differently.
+ */
 std::string formatSysFile(const SysFile &file);
 std::string formatUserConf(const UserConf &conf);
 std::string formatProfileFile(const ProfileFile &file);

@@ -6,8 +6,8 @@
  * Parallel experiment sweeps.
  *
  * Every figure/table harness evaluates many independent
- * (scenario, policy, seed) runs; each run owns its own simulated clock,
- * event queue and RNG, so they parallelize trivially.  SweepRunner fans
+ * (scenario, policy, seed) runs; each run owns its own tick loop and
+ * RNG, so they parallelize trivially.  SweepRunner fans
  * jobs out over a ThreadPool (`--jobs`, the one parallelism knob; at
  * `--jobs 1` the pool runs every job on the calling thread through the
  * same path), memoizes results in a RunCache so no duplicate triple is

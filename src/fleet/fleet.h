@@ -38,7 +38,7 @@
 #include "fleet/coordinator.h"
 #include "fleet/tenant.h"
 #include "sim/clock.h"
-#include "workload/trace.h"
+#include "workload/phases.h"
 
 namespace smartconf::exec {
 class ThreadPool;

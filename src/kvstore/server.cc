@@ -39,28 +39,6 @@ KvServer::accept(const std::vector<workload::Op> &ops, sim::Tick now)
 }
 
 void
-KvServer::accept(const std::vector<workload::Op> &ops, sim::Tick now,
-                 std::uint64_t shard_seq)
-{
-    if (crashed())
-        return;
-    // Replay the generator's block layout to attribute each offered op
-    // to its logical intake lane.  Pure function of (n, seq).
-    if (!ops.empty()) {
-        sim::ShardSpan spans[sim::kShards];
-        const std::size_t blocks =
-            sim::shardLayout(ops.size(), shard_seq, spans);
-        for (std::size_t b = 0; b < blocks; ++b) {
-            const sim::ShardSpan &span = spans[b];
-            ingest_.ops[span.lane] += span.end - span.begin;
-            for (std::size_t i = span.begin; i < span.end; ++i)
-                ingest_.mb[span.lane] += ops[i].size_mb;
-        }
-    }
-    accept(ops, now);
-}
-
-void
 KvServer::step(sim::Tick now)
 {
     if (crashed())

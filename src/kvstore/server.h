@@ -22,7 +22,6 @@
  * Once OOM, the server stops serving — the region server crashed.
  */
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -31,7 +30,6 @@
 #include "sim/clock.h"
 #include "sim/metrics.h"
 #include "sim/rng.h"
-#include "sim/shard.h"
 #include "workload/ycsb.h"
 
 namespace smartconf::kvstore {
@@ -59,19 +57,6 @@ struct KvServerParams
 };
 
 /**
- * Per-shard ingest accounting: which logical shard (reactor lane) each
- * offered RPC arrived on.  A real region server's RPC readers are a
- * small pool of reactor threads; this is the per-lane view of that
- * intake, attributed with the same pure `sim::shardLayout` the sharded
- * generators use.
- */
-struct ShardIngest
-{
-    std::array<std::uint64_t, sim::kShards> ops{}; ///< RPCs per lane
-    std::array<double, sim::kShards> mb{};         ///< request MB per lane
-};
-
-/**
  * The simulated region server.
  */
 class KvServer
@@ -81,18 +66,6 @@ class KvServer
 
     /** Offer a batch of client operations (rejected ops are dropped). */
     void accept(const std::vector<workload::Op> &ops, sim::Tick now);
-
-    /**
-     * Shard-attributed variant: `shard_seq` is the generator tick
-     * sequence that produced `ops` (ShardedYcsbGenerator::lastSeq()),
-     * replayed through `sim::shardLayout` to tally per-lane intake.
-     * Queue/heap behaviour is identical to the two-argument form.
-     */
-    void accept(const std::vector<workload::Op> &ops, sim::Tick now,
-                std::uint64_t shard_seq);
-
-    /** Per-shard intake tallies (all-zero until the 3-arg accept). */
-    const ShardIngest &shardIngest() const { return ingest_; }
 
     /** Advance one tick of service, network drain and heap accounting. */
     void step(sim::Tick now);
@@ -132,7 +105,6 @@ class KvServer
     std::uint64_t timed_out_ = 0;
     std::uint64_t dropped_responses_ = 0;
     sim::Histogram queue_delays_;
-    ShardIngest ingest_;
 
     /** Heap gauges the server republishes every tick, slot-resolved
      *  once here instead of name-scanned per update. */

@@ -1,13 +1,13 @@
 #include "scenarios/ca6059.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "core/smartconf.h"
 #include "kvstore/heap.h"
 #include "kvstore/memtable.h"
 #include "scenarios/control.h"
-#include "sim/event_queue.h"
 #include "workload/phases.h"
 #include "workload/sharded.h"
 
@@ -195,29 +195,17 @@ Ca6059Scenario::run(const Policy &policy, std::uint64_t seed) const
     double cache = 0.0;
     double latency_sum = 0.0;
     std::int64_t latency_count = 0;
-    double conf_sum = 0.0;
-    std::int64_t conf_samples = 0;
 
-    // Event-engine driver: workload + memtable stepping, the control
-    // loop, and metrics sampling each run as a periodic event rearmed
-    // in place.  Registration order fixes the intra-tick order to the
-    // sequential driver's statement order.
-    sim::Clock sim_clock;
-    sim::EventQueue events(sim_clock);
-    std::vector<sim::EventId> loops;
-    auto halt = [&loops, &events] {
-        for (const sim::EventId id : loops)
-            events.cancel(id);
-    };
-
-    double mem = 0.0; ///< heap usage after this tick's accounting
     std::vector<workload::Op> ops; ///< reused arrival buffer
     const kvstore::JvmHeap::Slot other_slot = heap.slot("other");
     const kvstore::JvmHeap::Slot cache_slot = heap.slot("cache");
     const kvstore::JvmHeap::Slot memtable_slot = heap.slot("memtable");
 
-    loops.push_back(events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
+    const fault::ChaosHooks chaos = chaosHooksFor(policy, seed);
+    chaos.seedActuation(initial_cap);
+
+    assert(opts_.control_period >= 1);
+    for (sim::Tick t = 0; t < opts_.total_ticks; ++t) {
         gen.setWriteFraction(write_frac.at(t));
 
         // Read index cache warms gradually toward its target share.
@@ -243,43 +231,25 @@ Ca6059Scenario::run(const Policy &policy, std::uint64_t seed) const
         heap.set(cache_slot, cache);
         heap.set(memtable_slot, memtable.occupancyMb());
         heap.checkOom(t);
-        mem = heap.usedMb();
-    }));
+        const double mem = heap.usedMb();
 
-    const fault::ChaosHooks chaos = chaosHooksFor(policy, seed);
-    chaos.seedActuation(initial_cap);
+        if (sc && t % opts_.control_period == 0 && chaos.fire()) {
+            sc->setPerf(chaos.measure(mem), memtable.occupancyMb());
+            memtable.setCapMb(
+                std::max(8.0, chaos.actuate(sc->getConfReal())));
+        }
 
-    if (sc) {
-        loops.push_back(events.schedulePeriodicAt(
-            0, opts_.control_period, [&] {
-                if (!chaos.fire())
-                    return;
-                sc->setPerf(chaos.measure(mem),
-                            memtable.occupancyMb());
-                memtable.setCapMb(std::max(
-                    8.0, chaos.actuate(sc->getConfReal())));
-            }));
-    }
-
-    loops.push_back(events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
         result.perf_series.record(t, mem);
         result.conf_series.record(t, memtable.capMb());
-        conf_sum += memtable.capMb();
-        ++conf_samples;
         const double avg_lat =
             latency_count > 0
                 ? latency_sum / static_cast<double>(latency_count)
                 : 0.0;
         result.tradeoff_series.record(t, avg_lat);
-        result.worst_goal_metric =
-            std::max(result.worst_goal_metric, mem);
 
         if (heap.oom())
-            halt(); // Cassandra node died with OutOfMemoryError
-    }));
-
-    events.runUntil(opts_.total_ticks - 1);
+            break; // Cassandra node died with OutOfMemoryError
+    }
 
     result.violated = heap.oom();
     result.violation_time_s =
@@ -293,9 +263,8 @@ Ca6059Scenario::run(const Policy &policy, std::uint64_t seed) const
     // Canonical trade-off score is higher-is-better: invert latency.
     result.tradeoff =
         result.raw_tradeoff > 0.0 ? 1.0 / result.raw_tradeoff : 0.0;
-    result.mean_conf =
-        conf_samples > 0 ? conf_sum / static_cast<double>(conf_samples)
-                         : 0.0;
+    result.worst_goal_metric = result.perf_series.max();
+    result.mean_conf = result.conf_series.mean();
     result.ops_simulated = gen.generated();
     result.faults_injected = chaos.stats().injected();
     result.shard_ops.assign(gen.shardOps().begin(),

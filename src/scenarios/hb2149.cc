@@ -6,7 +6,6 @@
 #include "core/smartconf.h"
 #include "kvstore/memstore.h"
 #include "scenarios/control.h"
-#include "sim/event_queue.h"
 #include "workload/sharded.h"
 
 namespace smartconf::scenarios {
@@ -164,8 +163,6 @@ Hb2149Scenario::run(const Policy &policy, std::uint64_t seed) const
 
     std::uint64_t accepted = 0;
     bool goal_changed = false;
-    double conf_sum = 0.0;
-    std::int64_t conf_samples = 0;
     // Blocks are judged against the goal in force when the flush began.
     double active_goal = opts_.phase1_goal_ticks;
     double flush_start_goal = active_goal;
@@ -173,17 +170,9 @@ Hb2149Scenario::run(const Policy &policy, std::uint64_t seed) const
     double violation_tick = -1.0;
     double worst_block = 0.0;
     bool was_blocked = false;
-
-    // Event-engine driver: the goal switch, the flush-completion
-    // sensor/control step, workload + memstore stepping, and metrics
-    // are separate periodic events; registration order reproduces the
-    // sequential driver's statement order within each tick.
-    sim::Clock sim_clock;
-    sim::EventQueue events(sim_clock);
     std::vector<workload::Op> ops; ///< reused arrival buffer
 
-    events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
+    for (sim::Tick t = 0; t < opts_.total_ticks; ++t) {
         // Run-time goal change through the user-facing setGoal API.
         if (!goal_changed && t >= opts_.phase1_ticks) {
             goal_changed = true;
@@ -201,10 +190,7 @@ Hb2149Scenario::run(const Policy &policy, std::uint64_t seed) const
                 }
             }
         }
-    });
 
-    events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
         if (!memstore.blocked() && was_blocked) {
             // A blocking flush just completed: measure and adjust.
             const double block = memstore.lastBlockTicks();
@@ -223,10 +209,7 @@ Hb2149Scenario::run(const Policy &policy, std::uint64_t seed) const
         if (!memstore.blocked())
             flush_start_goal = active_goal;
         was_blocked = memstore.blocked();
-    });
 
-    events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
         gen.tickInto(ops);
         for (const auto &op : ops) {
             if (op.type != workload::Op::Type::Write)
@@ -235,18 +218,11 @@ Hb2149Scenario::run(const Policy &policy, std::uint64_t seed) const
                 ++accepted;
         }
         memstore.step(t);
-    });
 
-    events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
         result.conf_series.record(t, memstore.flushAmountMb());
         result.tradeoff_series.record(
             t, static_cast<double>(accepted));
-        conf_sum += memstore.flushAmountMb();
-        ++conf_samples;
-    });
-
-    events.runUntil(opts_.total_ticks - 1);
+    }
 
     result.violated = violated;
     result.violation_time_s =
@@ -256,9 +232,7 @@ Hb2149Scenario::run(const Policy &policy, std::uint64_t seed) const
         static_cast<double>(opts_.total_ticks) / kTicksPerSecond;
     result.raw_tradeoff = static_cast<double>(accepted) / duration_s;
     result.tradeoff = result.raw_tradeoff;
-    result.mean_conf =
-        conf_samples > 0 ? conf_sum / static_cast<double>(conf_samples)
-                         : 0.0;
+    result.mean_conf = result.conf_series.mean();
     result.ops_simulated = gen.generated();
     result.faults_injected = chaos.stats().injected();
     result.shard_ops.assign(gen.shardOps().begin(),

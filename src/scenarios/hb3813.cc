@@ -1,12 +1,12 @@
 #include "scenarios/hb3813.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "core/smartconf.h"
 #include "kvstore/server.h"
 #include "scenarios/control.h"
-#include "sim/event_queue.h"
 #include "workload/phases.h"
 #include "workload/sharded.h"
 
@@ -198,34 +198,20 @@ Hb3813Scenario::run(const Policy &policy, std::uint64_t seed) const
     workload::PhasedSchedule<double> req_size(opts_.phase1_req_mb);
     req_size.addPhase(opts_.phase1_ticks, opts_.phase2_req_mb);
 
-    double conf_sum = 0.0;
-    std::int64_t conf_samples = 0;
-
-    // The run is driven by the event engine: each concern — workload
-    // arrivals + server stepping, the control loop, metrics sampling —
-    // is a periodic event rearming in place every cycle.  Registration
-    // order fixes the intra-tick order (arrivals/step, then control,
-    // then metrics), matching the sequential driver this replaces.
-    sim::Clock sim_clock;
-    sim::EventQueue events(sim_clock);
-    std::vector<sim::EventId> loops;
-    auto halt = [&loops, &events] {
-        for (const sim::EventId id : loops)
-            events.cancel(id);
-    };
-
-    double mem = 0.0; ///< heap usage after this tick's server step
     std::vector<workload::Op> ops; ///< reused arrival buffer
     const kvstore::JvmHeap::Slot compaction_slot =
         server.heap().slot("compaction");
 
-    loops.push_back(events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
+    const fault::ChaosHooks chaos = chaosHooksFor(policy, seed);
+    chaos.seedActuation(static_cast<double>(initial_queue));
+
+    assert(opts_.control_period >= 1);
+    for (sim::Tick t = 0; t < opts_.total_ticks; ++t) {
         gen.setRequestSizeMb(req_size.at(t));
         gen.setOpsPerTick(arrivalRate(opts_, t));
 
         gen.tickInto(ops);
-        server.accept(ops, t, gen.lastSeq());
+        server.accept(ops, t);
         server.step(t);
         if (opts_.spike_mb > 0.0 && t >= opts_.spike_at) {
             const double progress =
@@ -237,44 +223,27 @@ Hb3813Scenario::run(const Policy &policy, std::uint64_t seed) const
                 opts_.spike_mb * std::min(1.0, progress));
             server.heap().checkOom(t);
         }
-        mem = server.heap().usedMb();
-    }));
+        const double mem = server.heap().usedMb();
 
-    const fault::ChaosHooks chaos = chaosHooksFor(policy, seed);
-    chaos.seedActuation(static_cast<double>(initial_queue));
+        if (sc && t % opts_.control_period == 0 && chaos.fire()) {
+            sc->setPerf(chaos.measure(mem),
+                        static_cast<double>(
+                            server.requestQueue().size()));
+            const int next = static_cast<int>(chaos.actuate(
+                static_cast<double>(sc->getConf())));
+            server.requestQueue().setMaxItems(
+                static_cast<std::size_t>(std::max(0, next)));
+        }
 
-    if (sc) {
-        loops.push_back(events.schedulePeriodicAt(
-            0, opts_.control_period, [&] {
-                if (!chaos.fire())
-                    return;
-                sc->setPerf(chaos.measure(mem),
-                            static_cast<double>(
-                                server.requestQueue().size()));
-                const int next = static_cast<int>(chaos.actuate(
-                    static_cast<double>(sc->getConf())));
-                server.requestQueue().setMaxItems(
-                    static_cast<std::size_t>(std::max(0, next)));
-            }));
-    }
-
-    loops.push_back(events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
         result.perf_series.record(t, mem);
         result.conf_series.record(
             t, static_cast<double>(server.requestQueue().maxItems()));
         result.tradeoff_series.record(
             t, static_cast<double>(server.completedOps()));
-        conf_sum += static_cast<double>(server.requestQueue().maxItems());
-        ++conf_samples;
-        result.worst_goal_metric =
-            std::max(result.worst_goal_metric, mem);
 
         if (server.crashed())
-            halt(); // region server died with OutOfMemoryError
-    }));
-
-    events.runUntil(opts_.total_ticks - 1);
+            break; // region server died with OutOfMemoryError
+    }
 
     result.violated = server.crashed();
     result.violation_time_s =
@@ -287,9 +256,8 @@ Hb3813Scenario::run(const Policy &policy, std::uint64_t seed) const
     result.raw_tradeoff =
         static_cast<double>(server.completedOps()) / duration_s;
     result.tradeoff = result.raw_tradeoff;
-    result.mean_conf =
-        conf_samples > 0 ? conf_sum / static_cast<double>(conf_samples)
-                         : 0.0;
+    result.worst_goal_metric = result.perf_series.max();
+    result.mean_conf = result.conf_series.mean();
     result.ops_simulated = gen.generated();
     result.faults_injected = chaos.stats().injected();
     result.shard_ops.assign(gen.shardOps().begin(),

@@ -1,13 +1,13 @@
 #include "scenarios/hb6728.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "core/smartconf.h"
 #include "kvstore/memtable.h"
 #include "kvstore/server.h"
 #include "scenarios/control.h"
-#include "sim/event_queue.h"
 #include "workload/phases.h"
 #include "workload/sharded.h"
 
@@ -202,27 +202,15 @@ Hb6728Scenario::run(const Policy &policy, std::uint64_t seed) const
         opts_.phase1_write_fraction);
     write_frac.addPhase(opts_.phase1_ticks, opts_.phase2_write_fraction);
 
-    double conf_sum = 0.0;
-    std::int64_t conf_samples = 0;
-
-    // Event-engine driver: workload + server stepping, the control
-    // loop, and metrics sampling as periodic events (registration
-    // order = the sequential driver's statement order within a tick).
-    sim::Clock sim_clock;
-    sim::EventQueue events(sim_clock);
-    std::vector<sim::EventId> loops;
-    auto halt = [&loops, &events] {
-        for (const sim::EventId id : loops)
-            events.cancel(id);
-    };
-
-    double mem = 0.0; ///< heap usage after this tick's server step
     std::vector<workload::Op> ops; ///< reused arrival buffer
     const kvstore::JvmHeap::Slot memstore_slot =
         server.heap().slot("memstore");
 
-    loops.push_back(events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
+    const fault::ChaosHooks chaos = chaosHooksFor(policy, seed);
+    chaos.seedActuation(initial_resp);
+
+    assert(opts_.control_period >= 1);
+    for (sim::Tick t = 0; t < opts_.total_ticks; ++t) {
         gen.setWriteFraction(write_frac.at(t));
         gen.setOpsPerTick(arrivalRate(opts_, t));
 
@@ -233,42 +221,25 @@ Hb6728Scenario::run(const Policy &policy, std::uint64_t seed) const
         }
         memstore.step(t);
         server.heap().set(memstore_slot, memstore.occupancyMb());
-        server.accept(ops, t, gen.lastSeq());
+        server.accept(ops, t);
         server.step(t);
-        mem = server.heap().usedMb();
-    }));
+        const double mem = server.heap().usedMb();
 
-    const fault::ChaosHooks chaos = chaosHooksFor(policy, seed);
-    chaos.seedActuation(initial_resp);
+        if (sc && t % opts_.control_period == 0 && chaos.fire()) {
+            sc->setPerf(chaos.measure(mem),
+                        server.responseQueue().bytesMb());
+            server.responseQueue().setMaxMb(std::max(
+                1.0, chaos.actuate(sc->getConfReal())));
+        }
 
-    if (sc) {
-        loops.push_back(events.schedulePeriodicAt(
-            0, opts_.control_period, [&] {
-                if (!chaos.fire())
-                    return;
-                sc->setPerf(chaos.measure(mem),
-                            server.responseQueue().bytesMb());
-                server.responseQueue().setMaxMb(std::max(
-                    1.0, chaos.actuate(sc->getConfReal())));
-            }));
-    }
-
-    loops.push_back(events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
         result.perf_series.record(t, mem);
         result.conf_series.record(t, server.responseQueue().maxMb());
         result.tradeoff_series.record(
             t, static_cast<double>(server.completedOps()));
-        conf_sum += server.responseQueue().maxMb();
-        ++conf_samples;
-        result.worst_goal_metric =
-            std::max(result.worst_goal_metric, mem);
 
         if (server.crashed())
-            halt(); // region server died with OutOfMemoryError
-    }));
-
-    events.runUntil(opts_.total_ticks - 1);
+            break; // region server died with OutOfMemoryError
+    }
 
     result.violated = server.crashed();
     result.violation_time_s =
@@ -281,9 +252,8 @@ Hb6728Scenario::run(const Policy &policy, std::uint64_t seed) const
     result.raw_tradeoff =
         static_cast<double>(server.completedOps()) / duration_s;
     result.tradeoff = result.raw_tradeoff;
-    result.mean_conf =
-        conf_samples > 0 ? conf_sum / static_cast<double>(conf_samples)
-                         : 0.0;
+    result.worst_goal_metric = result.perf_series.max();
+    result.mean_conf = result.conf_series.mean();
     result.ops_simulated = gen.generated();
     result.faults_injected = chaos.stats().injected();
     result.shard_ops.assign(gen.shardOps().begin(),

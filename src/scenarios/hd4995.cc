@@ -6,7 +6,6 @@
 #include "core/smartconf.h"
 #include "dfs/namenode.h"
 #include "scenarios/control.h"
-#include "sim/event_queue.h"
 #include "workload/sharded.h"
 
 namespace smartconf::scenarios {
@@ -195,23 +194,13 @@ Hd4995Scenario::run(const Policy &policy, std::uint64_t seed) const
     bool goal_changed = false;
     bool violated = false;
     double violation_tick = -1.0;
-    double worst_wait = 0.0;
     double last_wait = -1.0, last_hold = -1.0;
     double prev_hold = -1.0;
     std::uint64_t chunks_seen = 0;
     std::size_t du_seen = 0;
-    double conf_sum = 0.0;
-    std::int64_t conf_samples = 0;
-
-    // Event-engine driver: the goal switch, request arrivals + namenode
-    // stepping, the per-chunk conditional control step, and metrics are
-    // separate periodic events fired in registration order each tick.
-    sim::Clock sim_clock;
-    sim::EventQueue events(sim_clock);
     std::vector<workload::DfsRequest> reqs; ///< reused arrival buffer
 
-    events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
+    for (sim::Tick t = 0; t < opts_.total_ticks; ++t) {
         if (!goal_changed && t >= opts_.phase1_ticks) {
             goal_changed = true;
             active_goal = opts_.phase2_goal_ticks;
@@ -227,17 +216,11 @@ Hd4995Scenario::run(const Policy &policy, std::uint64_t seed) const
                 }
             }
         }
-    });
 
-    events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
         gen.tickInto(t, reqs);
         nn.submitAll(reqs, t);
         nn.step(t);
-    });
 
-    events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
         // Conditional control: invoked per completed du chunk.  The
         // waits measured since the previous chunk ended belong to that
         // previous chunk's lock hold; pair them accordingly.
@@ -245,7 +228,6 @@ Hd4995Scenario::run(const Policy &policy, std::uint64_t seed) const
             chunks_seen = nn.chunksCompleted();
             const double wait = nn.takeRecentMaxWait();
             if (wait > 0.0 && prev_hold > 0.0) {
-                worst_wait = std::max(worst_wait, wait);
                 result.perf_series.record(t, wait);
                 if (wait > active_goal * 1.05 + 1.0 && !violated) {
                     violated = true;
@@ -262,10 +244,7 @@ Hd4995Scenario::run(const Policy &policy, std::uint64_t seed) const
             }
             prev_hold = nn.lastHoldTicks();
         }
-    });
 
-    events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
         while (du_seen < nn.duResults().size()) {
             result.tradeoff_series.record(
                 t, nn.duResults()[du_seen].latency_ticks);
@@ -273,16 +252,12 @@ Hd4995Scenario::run(const Policy &policy, std::uint64_t seed) const
         }
         result.conf_series.record(
             t, static_cast<double>(nn.summaryLimit()));
-        conf_sum += static_cast<double>(nn.summaryLimit());
-        ++conf_samples;
-    });
-
-    events.runUntil(opts_.total_ticks - 1);
+    }
 
     result.violated = violated;
     result.violation_time_s =
         violated ? violation_tick / kTicksPerSecond : -1.0;
-    result.worst_goal_metric = worst_wait;
+    result.worst_goal_metric = result.perf_series.max();
 
     // Trade-off: mean du latency in seconds (lower is better).
     double du_sum = 0.0;
@@ -295,9 +270,7 @@ Hd4995Scenario::run(const Policy &policy, std::uint64_t seed) const
                   kTicksPerSecond;
     result.raw_tradeoff = du_mean_s;
     result.tradeoff = du_mean_s > 0.0 ? 1.0 / du_mean_s : 0.0;
-    result.mean_conf =
-        conf_samples > 0 ? conf_sum / static_cast<double>(conf_samples)
-                         : 0.0;
+    result.mean_conf = result.conf_series.mean();
     result.ops_simulated = gen.generated();
     result.faults_injected = chaos.stats().injected();
     result.shard_ops.assign(gen.shardOps().begin(),

@@ -1,13 +1,13 @@
 #include "scenarios/mr2820.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "core/sensor.h"
 #include "core/smartconf.h"
 #include "mapreduce/cluster.h"
 #include "scenarios/control.h"
-#include "sim/event_queue.h"
 
 namespace smartconf::scenarios {
 
@@ -154,6 +154,7 @@ Mr2820Scenario::run(const Policy &policy, std::uint64_t seed) const
 
     std::unique_ptr<SmartConfRuntime> rt;
     std::unique_ptr<SmartConf> sc;
+    assert(opts_.control_period >= 1);
     // Peak-hold over ~one task duration: admissions are irrevocable,
     // so the controller must keep seeing the wave peak it committed
     // to, not the trough after outputs are fetched.
@@ -185,8 +186,6 @@ Mr2820Scenario::run(const Policy &policy, std::uint64_t seed) const
     int phase = 0;
     cluster.submitJob(opts_.phase1_job, 0);
 
-    double conf_sum = 0.0;
-    std::int64_t conf_samples = 0;
     sim::Tick finished_at = opts_.max_ticks;
     std::uint64_t tasks_done_before = 0;
 
@@ -223,45 +222,21 @@ Mr2820Scenario::run(const Policy &policy, std::uint64_t seed) const
             std::max(0.0, chaos.actuate(sc->getConfReal())));
     };
 
-    // Event-engine driver: cluster stepping, the control loop, and
-    // metrics + job-phase bookkeeping as periodic events fired in
-    // registration order each tick.
-    sim::Clock sim_clock;
-    sim::EventQueue events(sim_clock);
-    std::vector<sim::EventId> loops;
-    auto halt = [&loops, &events] {
-        for (const sim::EventId id : loops)
-            events.cancel(id);
-    };
+    for (sim::Tick t = 0; t < opts_.max_ticks; ++t) {
+        cluster.step(t);
+        const double disk = cluster.maxDiskUsedMb();
 
-    double disk = 0.0; ///< max worker disk after this tick's step
+        if (sc && t % opts_.control_period == 0)
+            invoke_control(false);
 
-    loops.push_back(events.schedulePeriodicAt(0, 1, [&] {
-        cluster.step(sim_clock.now());
-        disk = cluster.maxDiskUsedMb();
-    }));
-
-    if (sc) {
-        loops.push_back(events.schedulePeriodicAt(
-            0, opts_.control_period, [&] { invoke_control(false); }));
-    }
-
-    loops.push_back(events.schedulePeriodicAt(0, 1, [&] {
-        const sim::Tick t = sim_clock.now();
         result.perf_series.record(t, disk);
         result.conf_series.record(t, cluster.minSpaceStart());
         result.tradeoff_series.record(
             t, static_cast<double>(tasks_done_before +
                                    cluster.completedTasks()));
-        conf_sum += cluster.minSpaceStart();
-        ++conf_samples;
-        result.worst_goal_metric =
-            std::max(result.worst_goal_metric, disk);
 
-        if (cluster.ood()) {
-            halt(); // a worker ran out of disk: the job is lost
-            return;
-        }
+        if (cluster.ood())
+            break; // a worker ran out of disk: the job is lost
 
         if (cluster.jobDone()) {
             if (phase == 0) {
@@ -274,12 +249,10 @@ Mr2820Scenario::run(const Policy &policy, std::uint64_t seed) const
                     invoke_control(true);
             } else {
                 finished_at = t;
-                halt();
+                break;
             }
         }
-    }));
-
-    events.runUntil(opts_.max_ticks - 1);
+    }
 
     result.violated = cluster.ood();
     result.violation_time_s =
@@ -294,9 +267,8 @@ Mr2820Scenario::run(const Policy &policy, std::uint64_t seed) const
             : static_cast<double>(finished_at) / kTicksPerSecond;
     result.raw_tradeoff = makespan_s;
     result.tradeoff = makespan_s > 0.0 ? 1.0 / makespan_s : 0.0;
-    result.mean_conf =
-        conf_samples > 0 ? conf_sum / static_cast<double>(conf_samples)
-                         : 0.0;
+    result.worst_goal_metric = result.perf_series.max();
+    result.mean_conf = result.conf_series.mean();
     result.ops_simulated =
         tasks_done_before + cluster.completedTasks();
     result.faults_injected = chaos.stats().injected();

@@ -3,12 +3,12 @@
 
 /**
  * @file
- * Virtual time for the discrete-event substrate.
+ * Simulated time.
  *
  * Time is an integer tick count; scenarios define the tick length (the
  * case studies use 100 ms ticks, so 600 s of simulated server time is
- * 6000 ticks).  Keeping ticks integral avoids floating-point drift in
- * event ordering.
+ * 6000 ticks).  Each run is a plain loop over ticks, and keeping them
+ * integral keeps periodic work (t % period == 0) exact.
  */
 
 #include <cstdint>
@@ -41,28 +41,6 @@ class TickConverter
 
   private:
     double ticks_per_second_;
-};
-
-/** Monotonic simulation clock advanced by the event loop. */
-class Clock
-{
-  public:
-    Tick now() const { return now_; }
-
-    /** Advance to @p t; time never moves backwards. */
-    void advanceTo(Tick t)
-    {
-        if (t > now_)
-            now_ = t;
-    }
-
-    /** Advance by @p dt ticks. */
-    void advanceBy(Tick dt) { now_ += dt; }
-
-    void reset() { now_ = 0; }
-
-  private:
-    Tick now_ = 0;
 };
 
 } // namespace smartconf::sim

@@ -3,17 +3,19 @@
 
 /**
  * @file
- * Phase scheduling.
+ * Load shapes over simulated time.
  *
  * Every evaluation workload in the paper has two phases: either the
  * workload itself changes (HB3813's request size doubles at ~200 s) or
  * the performance goal changes (HB2149's latency constraint tightens from
  * 10 s to 5 s).  PhasedSchedule maps a tick to the parameter set active
- * at that time; scenario drivers poll it and push changes into the
- * generator or the SmartConf goal.
+ * at that time; each scenario's tick loop polls it and pushes changes
+ * into the generator or the SmartConf goal.  DiurnalCurve is the smooth
+ * day/night swing the fleet's tenants ride.
  */
 
 #include <cassert>
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -87,6 +89,32 @@ class PhasedSchedule
 
   private:
     std::vector<std::pair<sim::Tick, Params>> phases_;
+};
+
+/**
+ * Minimal diurnal (day/night) load shape: a smooth multiplier that
+ * bottoms out at `trough` and peaks at 1.0 once per `period` ticks.
+ * Production traffic is rarely stationary, and the paper's controllers
+ * must survive load swings.
+ */
+struct DiurnalCurve
+{
+    double trough = 0.25;   ///< night-time fraction of peak load
+    sim::Tick period = 240; ///< ticks per simulated day
+    sim::Tick phase = 0;    ///< tick offset (staggers tenant mixes)
+
+    /** Multiplier in [trough, 1]; trough at t + phase = 0, peak
+     *  mid-period.  The phase offset lets a fleet of tenants share one
+     *  curve shape while peaking at different times of day. */
+    double at(sim::Tick t) const
+    {
+        const double p = static_cast<double>(period <= 0 ? 1 : period);
+        // Raised cosine: trough at phase 0, peak at phase 0.5.
+        const double angle = 2.0 * 3.14159265358979323846 *
+                             static_cast<double>(t + phase) / p;
+        const double swing = 0.5 * (1.0 - std::cos(angle));
+        return trough + (1.0 - trough) * swing;
+    }
 };
 
 } // namespace smartconf::workload

@@ -12,17 +12,6 @@ ShardedYcsbGenerator::ShardedYcsbGenerator(const YcsbParams &params,
 {}
 
 void
-ShardedYcsbGenerator::setParams(const YcsbParams &params)
-{
-    const bool rebuild = params.key_count != params_.key_count ||
-                         params.zipf_theta != params_.zipf_theta;
-    params_ = params;
-    if (rebuild)
-        zipf_ = sim::ZipfianGenerator(params.key_count,
-                                      params.zipf_theta);
-}
-
-void
 ShardedYcsbGenerator::tickInto(std::vector<Op> &out)
 {
     // Batch size from the control stream (the one per-tick scalar
@@ -33,7 +22,6 @@ ShardedYcsbGenerator::tickInto(std::vector<Op> &out)
     const auto n =
         static_cast<std::size_t>(std::max(0.0, std::round(raw)));
     const std::uint64_t seq = plane_.nextTickSeq();
-    last_seq_ = seq;
 
     out.resize(n);
     scratch_.resize(n);

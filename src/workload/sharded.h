@@ -49,15 +49,9 @@ class ShardedYcsbGenerator
      */
     void tickInto(std::vector<Op> &out);
 
-    void setParams(const YcsbParams &params);
-
     void setOpsPerTick(double v) { params_.ops_per_tick = v; }
     void setWriteFraction(double v) { params_.write_fraction = v; }
     void setRequestSizeMb(double v) { params_.request_size_mb = v; }
-    void setBurstiness(double v) { params_.burstiness = v; }
-    void setCacheRatio(double v) { params_.cache_ratio = v; }
-
-    const YcsbParams &params() const { return params_; }
 
     std::uint64_t generated() const { return generated_; }
 
@@ -67,20 +61,11 @@ class ShardedYcsbGenerator
         return plane_.opsPerShard();
     }
 
-    /**
-     * Tick sequence of the most recent tickInto (valid after the first
-     * call).  Consumers that want to attribute the batch to shards —
-     * e.g. KvServer's per-lane ingest tallies — replay it through
-     * sim::shardLayout with the batch size.
-     */
-    std::uint64_t lastSeq() const { return last_seq_; }
-
   private:
     YcsbParams params_;
     sim::ShardPlane plane_;
     sim::ZipfianGenerator zipf_;
     std::uint64_t generated_ = 0;
-    std::uint64_t last_seq_ = 0;
 
     /** Shared SoA buffers; blocks write disjoint segments. */
     std::vector<std::uint64_t> scratch_;
@@ -98,9 +83,6 @@ class ShardedDfsioGenerator
     ShardedDfsioGenerator(const DfsioParams &params, sim::Rng rng);
 
     void tickInto(sim::Tick now, std::vector<DfsRequest> &out);
-
-    void setParams(const DfsioParams &params) { params_ = params; }
-    const DfsioParams &params() const { return params_; }
 
     std::uint64_t generated() const { return generated_; }
 

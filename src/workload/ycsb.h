@@ -83,8 +83,6 @@ class YcsbGenerator
     void setOpsPerTick(double v) { params_.ops_per_tick = v; }
     void setWriteFraction(double v) { params_.write_fraction = v; }
     void setRequestSizeMb(double v) { params_.request_size_mb = v; }
-    void setBurstiness(double v) { params_.burstiness = v; }
-    void setCacheRatio(double v) { params_.cache_ratio = v; }
 
     const YcsbParams &params() const { return params_; }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 #include "core/sysfile.h"
@@ -89,6 +90,97 @@ TEST(SysFile, RoundTrip)
     EXPECT_DOUBLE_EQ(g.entries[0].confMax, 2000.0);
 }
 
+TEST(SysFile, CommentMarkerInNameIsRejectedBothWays)
+{
+    // The reader cuts a line at its first comment marker, so a name
+    // holding one can never be read back.
+    SysFile f;
+    f.entries.push_back({"queue#1", "mem", 1.0, 0.0, 10.0});
+    EXPECT_THROW(formatSysFile(f), std::invalid_argument);
+    f.entries[0].name = "queue/*1";
+    EXPECT_THROW(formatSysFile(f), std::invalid_argument);
+}
+
+TEST(SysFile, DoubleSlashInMetricIsRejected)
+{
+    // The reader would cut `lat//p99` to `lat`.
+    SysFile f;
+    f.entries.push_back({"q", "lat//p99", 1.0, 0.0, 10.0});
+    EXPECT_THROW(formatSysFile(f), std::invalid_argument);
+}
+
+TEST(SysFile, AtSignInKeyIsRejectedBothWays)
+{
+    // The mapping line `a@b @ m` would read back as entry `a` mapped
+    // to `b @ m`.
+    SysFile f;
+    f.entries.push_back({"a@b", "m", 5.0, 0.0, 10.0});
+    EXPECT_THROW(formatSysFile(f), std::invalid_argument);
+    EXPECT_THROW(parseSysFile("a@b = 5\n"), std::runtime_error);
+}
+
+TEST(SysFile, EntryWithoutMetricRoundTrips)
+{
+    // No mapping line: `q @ ` would not parse.
+    const SysFile f = parseSysFile("q = 5\n");
+    ASSERT_EQ(f.entries.size(), 1u);
+    const std::string text = formatSysFile(f);
+    EXPECT_EQ(text.find('@'), std::string::npos) << text;
+    const SysFile g = parseSysFile(text);
+    ASSERT_EQ(g.entries.size(), 1u);
+    EXPECT_EQ(g.entries[0].name, "q");
+    EXPECT_EQ(g.entries[0].metric, "");
+    EXPECT_DOUBLE_EQ(g.entries[0].initial, 5.0);
+}
+
+TEST(SysFile, UnterminatedBlockCommentNamesItsLine)
+{
+    // An open block must not swallow the rest of the file unnoticed.
+    try {
+        parseSysFile("a @ m\na = 1 /* never closed\nb = 2\n");
+        FAIL() << "expected parse error";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(parseUserConf("mem = 1\n/* open"), std::runtime_error);
+    // A marker after a line comment opens nothing.
+    EXPECT_EQ(parseSysFile("a = 1 # see /* below\n").entries.size(), 1u);
+}
+
+TEST(SysFile, NonFiniteNumbersAreRejectedBothWays)
+{
+    for (const char *text : {"a = nan\n", "a = inf\n", "a.max = -inf\n",
+                             "a = 1e999\n", "profiling = nan\n"})
+        EXPECT_THROW(parseSysFile(text), std::invalid_argument) << text;
+    EXPECT_THROW(parseUserConf("mem = nan\n"), std::invalid_argument);
+    EXPECT_THROW(parseProfileFile("conf = q\nsample = 1 inf\n"),
+                 std::invalid_argument);
+    SysFile f;
+    f.entries.push_back({"q", "m", std::nan(""), 0.0, 1.0});
+    EXPECT_THROW(formatSysFile(f), std::invalid_argument);
+    UserConf c;
+    c.goals["mem"].value = HUGE_VAL;
+    EXPECT_THROW(formatUserConf(c), std::invalid_argument);
+}
+
+TEST(SysFile, ReservedAndMultiTokenNamesAreRejectedBothWays)
+{
+    // Each of these would come back as a different document.
+    for (const char *name : {"q.min", "q.max", "profiling", "a b", ""}) {
+        SysFile f;
+        f.entries.push_back({name, "m", 1.0, 0.0, 2.0});
+        EXPECT_THROW(formatSysFile(f), std::invalid_argument) << name;
+    }
+    EXPECT_THROW(parseSysFile("profiling @ m\n"), std::runtime_error);
+    EXPECT_THROW(parseSysFile("q.min.max = 1\n"), std::runtime_error);
+    EXPECT_THROW(parseSysFile("a b = 1\n"), std::runtime_error);
+    UserConf c;
+    c.goals["mem.hard"].value = 1.0;
+    EXPECT_THROW(formatUserConf(c), std::invalid_argument);
+    EXPECT_THROW(parseUserConf("mem.hard.hard = 1\n"), std::runtime_error);
+}
+
 TEST(UserConf, ParsesPaperExample)
 {
     // Verbatim from the paper's Fig. 2 (HBase.conf part).
@@ -109,6 +201,17 @@ TEST(UserConf, SuperHardImpliesHard)
         "mem = 512\n"
         "mem.superhard = 1\n");
     EXPECT_TRUE(c.goals.at("mem").superHard);
+    EXPECT_TRUE(c.goals.at("mem").hard);
+}
+
+TEST(UserConf, SuperHardImpliesHardInAnyLineOrder)
+{
+    // A super-hard, non-hard goal would format to text that parses
+    // back hard.
+    const UserConf c = parseUserConf(
+        "mem = 512\n"
+        "mem.superhard = 1\n"
+        "mem.hard = 0\n");
     EXPECT_TRUE(c.goals.at("mem").hard);
 }
 
@@ -170,6 +273,22 @@ TEST(ProfileFileFormat, RoundTrip)
     ASSERT_EQ(g.samples.size(), 2u);
     EXPECT_DOUBLE_EQ(g.samples[1].config, 80.0);
     EXPECT_DOUBLE_EQ(g.samples[1].perf, 291.5);
+}
+
+TEST(ProfileFileFormat, RejectsWhatFormatCannotWriteBack)
+{
+    // Counts are exact integers: no sign, fraction or overflowing cast.
+    EXPECT_THROW(parseProfileFile("conf = q\nsettings = -1\n"),
+                 std::runtime_error);
+    EXPECT_THROW(parseProfileFile("conf = q\nsamples = 2.5\n"),
+                 std::runtime_error);
+    EXPECT_EQ(parseProfileFile("conf = q\nsamples = 18446744073709551615\n")
+                  .summary.samples,
+              18446744073709551615ULL);
+    // A store names its configuration, as one token.
+    EXPECT_THROW(parseProfileFile("alpha = 1\n"), std::runtime_error);
+    EXPECT_THROW(parseProfileFile("conf = a b\n"), std::runtime_error);
+    EXPECT_THROW(formatProfileFile(ProfileFile{}), std::invalid_argument);
 }
 
 TEST(ProfileFileFormat, UnknownKeyThrows)

@@ -1,15 +1,97 @@
 /**
  * @file Property-based round-trip tests for the SmartConf file formats:
- * any structurally valid document must survive format -> parse intact.
+ * any structurally valid document must survive format -> parse intact,
+ * and no mutated text may crash a parser or slip past it half-read.
  */
 
 #include <gtest/gtest.h>
+
+#include <iterator>
+#include <stdexcept>
 
 #include "core/sysfile.h"
 #include "sim/rng.h"
 
 namespace smartconf {
 namespace {
+
+/**
+ * Feed @p text to one parser.  A rejection must be one of the two
+ * documented errors; an accepted document must format without
+ * throwing and survive parse -> format -> parse unchanged.  Format is
+ * injective on parsed documents (17 significant digits, entry order
+ * kept), so "unchanged" is checked as equal formatted text.
+ * @return 1 when the parser accepted @p text.
+ */
+template <typename Parse, typename Format>
+int
+acceptRoundTrips(const std::string &text, Parse parse, Format format)
+{
+    decltype(parse(text)) doc;
+    try {
+        doc = parse(text);
+    } catch (const std::runtime_error &) {
+        return 0;
+    } catch (const std::invalid_argument &) {
+        return 0;
+    }
+    const std::string once = format(doc);
+    EXPECT_EQ(format(parse(once)), once) << "mutated input:\n" << text;
+    return 1;
+}
+
+TEST(SysFileFuzz, MutatedPaperTextsParseCleanlyOrNotAtAll)
+{
+    // Verbatim from the paper's Fig. 2, as in test_sysfile.cc.
+    const std::string seeds[] = {
+        "/* SmartConf.sys */\n"
+        "max.queue.size @ memory_consumption_max\n"
+        "max.queue.size = 50\n",
+        "/* HBase.conf */\n"
+        "memory_consumption_max = 1024\n"
+        "memory_consumption_max.hard = 1\n",
+    };
+    // Fragments the grammar gives meaning to, spliced in whole so that
+    // mutants reach comments, mappings, attributes and edge numbers.
+    const std::string tokens[] = {
+        "#", "//", "/*", "*/", "@", "=", " ", "\n", "\r", "\t", ".min",
+        ".max", ".hard", ".superhard = 1", ".direction = lower",
+        "profiling = 1", "nan", "inf", "-", "1e999", "1e-320", "0x1p3",
+        "conf = q\n", "sample = 1 2\n", "settings = 3\n",
+    };
+
+    sim::Rng rng(2149);
+    int accepted = 0;
+    for (int iter = 0; iter < 10000 && !HasFailure(); ++iter) {
+        std::string text = seeds[rng.below(std::size(seeds))];
+        const auto edits = rng.between(1, 4);
+        for (std::int64_t e = 0; e < edits; ++e) {
+            const std::size_t pos = rng.below(text.size() + 1);
+            const auto byte = static_cast<char>(rng.below(256));
+            switch (rng.below(4)) {
+            case 0:
+                if (pos < text.size())
+                    text[pos] = byte;
+                break;
+            case 1:
+                text.insert(pos, 1, byte);
+                break;
+            case 2:
+                if (pos < text.size())
+                    text.erase(pos, 1);
+                break;
+            default:
+                text.insert(pos, tokens[rng.below(std::size(tokens))]);
+            }
+        }
+        accepted += acceptRoundTrips(text, parseSysFile, formatSysFile);
+        accepted += acceptRoundTrips(text, parseUserConf, formatUserConf);
+        accepted +=
+            acceptRoundTrips(text, parseProfileFile, formatProfileFile);
+    }
+    // The loop must reach the accept path, not only the error paths.
+    EXPECT_GT(accepted, 3000);
+}
 
 class SysFileRoundTrip : public ::testing::TestWithParam<std::uint64_t>
 {};

@@ -132,45 +132,5 @@ TEST(KvServer, QueueDelaysRecorded)
     EXPECT_NEAR(s.queueDelays().max(), 7.0, 1e-9);
 }
 
-TEST(KvServer, ShardIngestTalliesEveryOfferedOp)
-{
-    KvServer s(params(), sim::Rng(9));
-    // A batch big enough to split into several blocks, attributed via
-    // the same pure layout the sharded generators use.
-    const auto batch = writes(200, 0.5);
-    s.accept(batch, 0, /*shard_seq=*/3);
-    std::uint64_t ops = 0;
-    double mb = 0.0;
-    std::size_t lanes_hit = 0;
-    for (std::size_t l = 0; l < sim::kShards; ++l) {
-        ops += s.shardIngest().ops[l];
-        mb += s.shardIngest().mb[l];
-        lanes_hit += s.shardIngest().ops[l] > 0 ? 1 : 0;
-    }
-    EXPECT_EQ(ops, 200u);
-    EXPECT_NEAR(mb, 100.0, 1e-9);
-    EXPECT_EQ(lanes_hit, sim::shardBlockCount(200));
-}
-
-TEST(KvServer, ShardIngestBehaviourMatchesPlainAccept)
-{
-    // The 3-arg accept is accounting only: queue, heap and service
-    // behaviour stay identical to the 2-arg form.
-    KvServer plain(params(), sim::Rng(10));
-    KvServer sharded(params(), sim::Rng(10));
-    for (sim::Tick t = 0; t < 20; ++t) {
-        plain.accept(writes(40, 1.0), t);
-        sharded.accept(writes(40, 1.0), t, static_cast<std::uint64_t>(t));
-        plain.step(t);
-        sharded.step(t);
-        ASSERT_EQ(plain.requestQueue().size(),
-                  sharded.requestQueue().size());
-        ASSERT_EQ(plain.completedOps(), sharded.completedOps());
-        ASSERT_EQ(plain.heap().usedMb(), sharded.heap().usedMb());
-    }
-    for (std::size_t l = 0; l < sim::kShards; ++l)
-        EXPECT_EQ(plain.shardIngest().ops[l], 0u);
-}
-
 } // namespace
 } // namespace smartconf::kvstore

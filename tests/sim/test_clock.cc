@@ -1,4 +1,4 @@
-/** @file Unit tests for the virtual clock and tick conversion. */
+/** @file Unit tests for tick/second conversion. */
 
 #include <gtest/gtest.h>
 
@@ -6,32 +6,6 @@
 
 namespace smartconf::sim {
 namespace {
-
-TEST(Clock, StartsAtZeroAndAdvances)
-{
-    Clock c;
-    EXPECT_EQ(c.now(), 0);
-    c.advanceBy(5);
-    EXPECT_EQ(c.now(), 5);
-    c.advanceTo(10);
-    EXPECT_EQ(c.now(), 10);
-}
-
-TEST(Clock, NeverMovesBackwards)
-{
-    Clock c;
-    c.advanceTo(100);
-    c.advanceTo(50);
-    EXPECT_EQ(c.now(), 100);
-}
-
-TEST(Clock, Reset)
-{
-    Clock c;
-    c.advanceBy(42);
-    c.reset();
-    EXPECT_EQ(c.now(), 0);
-}
 
 TEST(TickConverterTest, RoundTrip)
 {

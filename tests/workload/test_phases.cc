@@ -1,4 +1,4 @@
-/** @file Unit tests for phase scheduling. */
+/** @file Unit tests for phase scheduling and the diurnal curve. */
 
 #include <gtest/gtest.h>
 
@@ -58,6 +58,20 @@ TEST(Phases, StructuredParams)
     s.addPhase(50, {20.0, 2.0});
     EXPECT_DOUBLE_EQ(s.at(49).rate, 10.0);
     EXPECT_DOUBLE_EQ(s.at(50).size, 2.0);
+}
+
+TEST(Diurnal, CurveSpansTroughToPeak)
+{
+    DiurnalCurve curve;
+    curve.trough = 0.25;
+    curve.period = 240;
+    EXPECT_NEAR(curve.at(0), 0.25, 1e-12);
+    EXPECT_NEAR(curve.at(120), 1.0, 1e-12);  // mid-period peak
+    EXPECT_NEAR(curve.at(240), 0.25, 1e-12); // next day's trough
+    for (sim::Tick t = 0; t <= 240; ++t) {
+        EXPECT_GE(curve.at(t), 0.25 - 1e-12);
+        EXPECT_LE(curve.at(t), 1.0 + 1e-12);
+    }
 }
 
 } // namespace

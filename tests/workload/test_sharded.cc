@@ -66,16 +66,6 @@ TEST(ShardedYcsb, HonoursWriteFractionAndMutators)
         EXPECT_EQ(op.type, Op::Type::Read);
 }
 
-TEST(ShardedYcsb, LastSeqAdvancesPerTick)
-{
-    ShardedYcsbGenerator gen(ycsbParams(0.5), sim::Rng(14));
-    std::vector<Op> ops;
-    gen.tickInto(ops);
-    EXPECT_EQ(gen.lastSeq(), 0u);
-    gen.tickInto(ops);
-    EXPECT_EQ(gen.lastSeq(), 1u);
-}
-
 TEST(ShardedDfsio, EmitsPeriodicDuAndCountsIt)
 {
     ShardedDfsioGenerator gen(dfsioParams(5), sim::Rng(22));

@@ -1,8 +1,8 @@
 #include "exec/disk_cache.h"
 
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 
 #include "sim/kernels.h"
 #include "sim/metrics.h"
@@ -11,19 +11,19 @@ namespace smartconf::exec {
 
 namespace {
 
-constexpr char kLegacyMagic[4] = {'S', 'C', 'R', 'C'};
-
-/** Append-only little buffer writer (native endianness: the cache is a
- *  single-machine artifact, never shipped between hosts). */
+/** Append-only buffer writer (native endianness: the cache is a
+ *  single-machine artifact, never shipped between hosts).  The caller
+ *  reserves the exact payload size, so every append lands in place. */
 class Writer
 {
   public:
+    explicit Writer(std::size_t size) { buf_.reserve(size); }
+
     void raw(const void *p, std::size_t n)
     {
         const auto *b = static_cast<const char *>(p);
         buf_.insert(buf_.end(), b, b + n);
     }
-    void u32(std::uint32_t v) { raw(&v, sizeof v); }
     void u64(std::uint64_t v) { raw(&v, sizeof v); }
     void f64(double v) { raw(&v, sizeof v); }
     void u8(std::uint8_t v) { raw(&v, sizeof v); }
@@ -40,21 +40,79 @@ class Writer
         // (asserted below), so the curve round-trips as one block copy.
         // A result carries up to hundreds of thousands of points; bulk
         // I/O is what keeps warm process start-up in the market for
-        // "faster than simulating".  The block goes through the kernel
-        // layer's widened copy rather than insert()'s element path.
+        // "faster than simulating".
         static_assert(sizeof(sim::TimeSeries::Point) == 16,
                       "Point must pack to 16 bytes for bulk series I/O");
-        const std::size_t bytes = ts.points().size() * 16;
-        const std::size_t off = buf_.size();
-        buf_.resize(off + bytes);
-        sim::kernels::copyBytes(buf_.data() + off, ts.points().data(),
-                                bytes);
+        raw(ts.points().data(), ts.points().size() * 16);
     }
     std::vector<char> take() { return std::move(buf_); }
-    const std::vector<char> &bytes() const { return buf_; }
 
   private:
     std::vector<char> buf_;
+};
+
+/** Serialized size of a series: name, point count, 16 bytes a point. */
+std::size_t
+seriesBytes(const sim::TimeSeries &ts)
+{
+    return 8 + ts.name().size() + 8 + ts.points().size() * 16;
+}
+
+/** Exact serialized size of @p r, field by field as serializeResult
+ *  writes them. */
+std::size_t
+payloadBytes(const scenarios::ScenarioResult &r)
+{
+    return (8 + r.scenario_id.size()) + (8 + r.policy_label.size()) +
+           1 +                          // violated
+           6 * 8 +                      // the six doubles
+           2 * 8 +                      // ops_simulated, faults_injected
+           8 + r.shard_ops.size() * 8 + // shard_ops
+           seriesBytes(r.perf_series) + seriesBytes(r.conf_series) +
+           seriesBytes(r.tradeoff_series);
+}
+
+/** Random-access view of the packed points of a serialized series.
+ *  The bytes need not be aligned for Point, so each point is read with
+ *  memcpy; a vector built from a pair of these is filled by one copy
+ *  pass, without a zero-filled staging buffer. */
+class PackedPoints
+{
+  public:
+    using iterator_category = std::random_access_iterator_tag;
+    using value_type = sim::TimeSeries::Point;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const value_type *;
+    using reference = value_type;
+
+    explicit PackedPoints(const char *p) : p_(p) {}
+
+    value_type operator*() const
+    {
+        value_type v;
+        std::memcpy(&v, p_, sizeof v);
+        return v;
+    }
+    PackedPoints &operator++()
+    {
+        p_ += sizeof(value_type);
+        return *this;
+    }
+    PackedPoints operator++(int)
+    {
+        PackedPoints was = *this;
+        ++*this;
+        return was;
+    }
+    difference_type operator-(const PackedPoints &o) const
+    {
+        return (p_ - o.p_) / static_cast<difference_type>(sizeof(value_type));
+    }
+    bool operator==(const PackedPoints &o) const { return p_ == o.p_; }
+    bool operator!=(const PackedPoints &o) const { return p_ != o.p_; }
+
+  private:
+    const char *p_;
 };
 
 /** Bounds-checked reader over a loaded buffer; any overrun fails the
@@ -66,22 +124,24 @@ class Reader
         : data_(data), size_(size)
     {}
 
+    // Every bound is written as `n > size_ - pos_`: pos_ <= size_
+    // always holds, so the subtraction cannot wrap, where `pos_ + n`
+    // wraps for a torn length field near 2^64.
     bool raw(void *out, std::size_t n)
     {
-        if (pos_ + n > size_)
+        if (n > size_ - pos_)
             return false;
         sim::kernels::copyBytes(out, data_ + pos_, n);
         pos_ += n;
         return true;
     }
-    bool u32(std::uint32_t &v) { return raw(&v, sizeof v); }
     bool u64(std::uint64_t &v) { return raw(&v, sizeof v); }
     bool f64(double &v) { return raw(&v, sizeof v); }
     bool u8(std::uint8_t &v) { return raw(&v, sizeof v); }
     bool str(std::string &s)
     {
         std::uint64_t n = 0;
-        if (!u64(n) || pos_ + n > size_)
+        if (!u64(n) || n > size_ - pos_)
             return false;
         s.assign(data_ + pos_, static_cast<std::size_t>(n));
         pos_ += static_cast<std::size_t>(n);
@@ -97,18 +157,16 @@ class Reader
         // before allocating (a torn length field must not OOM us).
         if (n > (size_ - pos_) / 16)
             return false;
-        std::vector<sim::TimeSeries::Point> points(
-            static_cast<std::size_t>(n));
-        if (!raw(points.data(), points.size() * 16))
-            return false;
+        const char *first = data_ + pos_;
+        pos_ += static_cast<std::size_t>(n) * 16;
         ts = sim::TimeSeries(std::move(name));
-        ts.assign(std::move(points));
+        ts.assign(std::vector<sim::TimeSeries::Point>(
+            PackedPoints(first), PackedPoints(data_ + pos_)));
         return true;
     }
     bool atEnd() const { return pos_ == size_; }
 
-    /** Unconsumed remainder (for whole-payload checksumming). */
-    const char *rest() const { return data_ + pos_; }
+    /** Unconsumed byte count. */
     std::size_t restSize() const { return size_ - pos_; }
 
   private:
@@ -126,12 +184,10 @@ DiskRunCache::DiskRunCache(std::string root)
 DiskRunCache::DiskRunCache(std::string root,
                            store::SegmentStore::Options opts)
 {
-    const std::string r = std::move(root);
-    dir_ = versionDir(r);
+    dir_ = versionDir(root);
     opts.format = kFormatVersion;
     opts.engine = kEngineVersion;
     store_ = std::make_unique<store::SegmentStore>(dir_, opts);
-    migrateLegacy(r);
 }
 
 DiskRunCache::~DiskRunCache() = default; // ~SegmentStore flushes
@@ -140,13 +196,6 @@ std::string
 DiskRunCache::versionDir(const std::string &root)
 {
     return root + "/v" + std::to_string(kFormatVersion) + "-e" +
-           std::to_string(kEngineVersion);
-}
-
-std::string
-DiskRunCache::legacyDir(const std::string &root)
-{
-    return root + "/v" + std::to_string(kLegacyFormatVersion) + "-e" +
            std::to_string(kEngineVersion);
 }
 
@@ -177,7 +226,7 @@ DiskRunCache::checksum64(const void *data, std::size_t len)
 std::vector<char>
 DiskRunCache::serializeResult(const scenarios::ScenarioResult &result)
 {
-    Writer payload;
+    Writer payload(payloadBytes(result));
     payload.str(result.scenario_id);
     payload.str(result.policy_label);
     payload.u8(result.violated ? 1 : 0);
@@ -248,9 +297,9 @@ DiskRunCache::store(const std::string &key,
 {
     if (!usable())
         return false;
-    const std::vector<char> payload = serializeResult(result);
-    return store_->put(key, payload.data(), payload.size(),
-                       checksum64(payload.data(), payload.size()));
+    std::vector<char> payload = serializeResult(result);
+    const std::uint64_t sum = checksum64(payload.data(), payload.size());
+    return store_->put(key, std::move(payload), sum);
 }
 
 bool
@@ -275,80 +324,6 @@ DiskRunCache::usable()
         checked_ = true;
     }
     return !cache_off_;
-}
-
-void
-DiskRunCache::migrateLegacy(const std::string &root)
-{
-    namespace fs = std::filesystem;
-    const std::string legacy = legacyDir(root);
-    std::error_code ec;
-    if (!fs::is_directory(legacy, ec))
-        return;
-
-    // One-shot wholesale migration: every v5 entry for the *current*
-    // engine whose checksum still verifies is re-stored verbatim (the
-    // payload byte layout is unchanged between formats 5 and 6).
-    // Anything torn, foreign, or bit-flipped is orphaned and counted.
-    for (fs::directory_iterator it(legacy, ec), end; !ec && it != end;
-         it.increment(ec)) {
-        if (!it->is_regular_file(ec) ||
-            it->path().extension() != ".bin")
-            continue;
-        std::FILE *f = std::fopen(it->path().c_str(), "rb");
-        if (!f) {
-            ++orphaned_;
-            continue;
-        }
-        std::vector<char> data;
-        if (std::fseek(f, 0, SEEK_END) == 0) {
-            const long endpos = std::ftell(f);
-            if (endpos > 0 && std::fseek(f, 0, SEEK_SET) == 0) {
-                data.resize(static_cast<std::size_t>(endpos));
-                if (std::fread(data.data(), 1, data.size(), f) !=
-                    data.size())
-                    data.clear();
-            }
-        }
-        std::fclose(f);
-
-        Reader r(data.data(), data.size());
-        char magic[4];
-        std::uint32_t format = 0, engine = 0;
-        std::string key;
-        std::uint64_t sum = 0;
-        const bool header_ok =
-            !data.empty() && r.raw(magic, 4) &&
-            std::memcmp(magic, kLegacyMagic, 4) == 0 && r.u32(format) &&
-            format == kLegacyFormatVersion && r.u32(engine) &&
-            engine == kEngineVersion && r.str(key) && r.u64(sum) &&
-            sum == checksum64(r.rest(), r.restSize());
-        if (!header_ok ||
-            !store_->put(key, r.rest(), r.restSize(), sum)) {
-            ++orphaned_;
-            continue;
-        }
-        ++migrated_;
-    }
-
-    if (migrated_ > 0 && usable())
-        store_->flush();
-
-    // Retire the old layout so the next construction skips this pass.
-    // A failed rename leaves it in place; re-migration is idempotent
-    // (duplicate keys dedup on compaction, newest wins).
-    const std::string retired = legacy + ".migrated";
-    fs::remove_all(retired, ec);
-    fs::rename(legacy, retired, ec);
-
-    if (migrated_ > 0 || orphaned_ > 0)
-        std::fprintf(stderr,
-                     "[disk-cache] migrated %llu v5 entr%s to the "
-                     "segment store, orphaned %llu, from %s\n",
-                     static_cast<unsigned long long>(migrated_),
-                     migrated_ == 1 ? "y" : "ies",
-                     static_cast<unsigned long long>(orphaned_),
-                     legacy.c_str());
 }
 
 } // namespace smartconf::exec

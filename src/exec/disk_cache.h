@@ -28,13 +28,8 @@
  *    that alters scenario outputs must bump it, or stale results would
  *    replay as fresh ones.
  *
- * A v5 one-file-per-entry layout for the *same* engine version found
- * next to the store is migrated on construction: every entry whose
- * header and payload checksum still verify is re-stored verbatim
- * (payload bytes and checksum are byte-compatible); damaged or
- * mismatched files are orphaned and counted.  v5 layouts for other
- * engine versions are left untouched — their results are stale by
- * definition.
+ * Directories of other versions, the v5 one-file-per-entry layout
+ * among them, are orphaned: nothing reads, migrates or deletes them.
  *
  * Safety properties carried over from v5, now enforced by the store:
  * the full uncompressed key is stored and compared on load (hash
@@ -73,9 +68,6 @@ class DiskRunCache
      */
     static constexpr std::uint32_t kFormatVersion = 6;
 
-    /** The last one-file-per-entry format (migration source). */
-    static constexpr std::uint32_t kLegacyFormatVersion = 5;
-
     /**
      * Bump when simulation outputs change (new scenario mechanics,
      * RNG stream changes, new ScenarioResult fields with meaning).
@@ -91,8 +83,7 @@ class DiskRunCache
 
     /**
      * Open (creating if needed) the store rooted at @p root.  Nothing
-     * is written until the first store()/flush().  A v5 layout for the
-     * current engine found under @p root is migrated immediately.
+     * is written until the first store()/flush().
      */
     explicit DiskRunCache(std::string root);
 
@@ -114,7 +105,9 @@ class DiskRunCache
 
     /**
      * Persist @p result under @p key (buffered; published in batches
-     * as append-only segments, each by one atomic rename).
+     * as append-only segments, each by one atomic rename).  The
+     * serialized payload is moved into the store's pending buffer, so
+     * its bytes are written once here and copied once more at seal.
      * Best-effort: an unwritable root degrades to cache-off.
      * @return true when the entry was accepted.
      */
@@ -130,20 +123,11 @@ class DiskRunCache
     /** The versioned directory for a root (current format/engine). */
     static std::string versionDir(const std::string &root);
 
-    /** The v5 one-file-per-entry directory for a root. */
-    static std::string legacyDir(const std::string &root);
-
     /** The backing segment store (queries, verify, compaction). */
     store::SegmentStore &segmentStore() { return *store_; }
 
     /** Store IO counters (reads, read bytes, segments opened, ...). */
     store::StoreStats ioStats() const { return store_->stats(); }
-
-    /** v5 entries re-stored by the constructor's migration pass. */
-    std::uint64_t migratedEntries() const { return migrated_; }
-
-    /** v5 files skipped as damaged/mismatched during migration. */
-    std::uint64_t orphanedEntries() const { return orphaned_; }
 
     /**
      * Serialize @p result to the payload byte layout (format 5/6 —
@@ -164,15 +148,14 @@ class DiskRunCache
 
     /**
      * Payload checksum: the kernel layer's four-lane interleaved
-     * FNV-1a-style hash (sim/kernels::checksum) — bit-identical across
-     * SIMD dispatch levels, vectorized where the host allows.  The
-     * same function checks segment headers and index blocks.
+     * FNV-1a-style hash (sim/kernels::checksum) — one scalar body at
+     * every SIMD dispatch level.  The same function checks segment
+     * headers and index blocks.
      */
     static std::uint64_t checksum64(const void *data, std::size_t len);
 
   private:
     bool usable(); ///< lazily create dir_; sticky cache-off on failure
-    void migrateLegacy(const std::string &root);
 
     std::string dir_; ///< <root>/v<format>-e<engine>
     std::unique_ptr<store::SegmentStore> store_;
@@ -180,9 +163,6 @@ class DiskRunCache
     std::mutex mu_; ///< guards the lazy usability probe
     bool checked_ = false;
     bool cache_off_ = false;
-
-    std::uint64_t migrated_ = 0;
-    std::uint64_t orphaned_ = 0;
 };
 
 } // namespace smartconf::exec

@@ -12,20 +12,6 @@ namespace smartconf::fault {
 
 namespace fs = std::filesystem;
 
-std::vector<std::string>
-listEntryFiles(const std::string &dir)
-{
-    std::vector<std::string> out;
-    std::error_code ec;
-    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-         it.increment(ec)) {
-        if (it->is_regular_file(ec))
-            out.push_back(it->path().string());
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
 std::int64_t
 fileSize(const std::string &path)
 {

@@ -13,8 +13,8 @@
  * (permission and layout failures).
  *
  * Deterministic on purpose: flipBit touches an exact (byte, bit), and
- * listEntryFiles returns sorted paths, so a corruption campaign driven
- * off a seeded RNG replays identically.
+ * listSegmentFiles returns sorted paths, so a corruption campaign
+ * driven off a seeded RNG replays identically.
  */
 
 #include <cstdint>
@@ -22,9 +22,6 @@
 #include <vector>
 
 namespace smartconf::fault {
-
-/** Regular files directly inside @p dir, sorted by path. */
-std::vector<std::string> listEntryFiles(const std::string &dir);
 
 /** Size of @p path in bytes; -1 when unreadable. */
 std::int64_t fileSize(const std::string &path);

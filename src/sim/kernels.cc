@@ -6,12 +6,13 @@
 
 /*
  * Backend layout.  The scalar namespace is the canonical definition of
- * every kernel; the sse2/avx2 namespaces re-implement the same math on
- * wider registers and are compiled only when the build enables them
- * (-DSMARTCONF_SIMD=ON, the default) on an x86 target.  Each SIMD
- * function carries a gcc/clang `target` attribute instead of the whole
- * TU being built with -mavx2, so the compiler can never leak AVX2
- * instructions into code that runs on narrower hosts.
+ * every dispatched kernel; the sse2/avx2 namespaces re-implement the
+ * same math on wider registers and are compiled only when the build
+ * enables them (-DSMARTCONF_SIMD=ON, the default) on an x86 target.
+ * Each SIMD function carries a gcc/clang `target` attribute instead of
+ * the whole TU being built with -mavx2, so the compiler can never leak
+ * AVX2 instructions into code that runs on narrower hosts.  checksum()
+ * is not dispatched: its one scalar body is the fastest at every level.
  */
 #if defined(SMARTCONF_SIMD_ENABLED) && \
     (defined(__x86_64__) || defined(__i386__))
@@ -182,33 +183,6 @@ reduceMinMax(const double *x, std::size_t n)
         r.max = x[i] > r.max ? x[i] : r.max;
     }
     return r;
-}
-
-std::uint64_t
-checksum(const void *data, std::size_t len)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint64_t lane[4];
-    for (std::uint64_t j = 0; j < 4; ++j)
-        lane[j] = kFnvBasis ^ (j * kLaneGamma);
-    std::size_t i = 0;
-    for (; i + 32 <= len; i += 32) {
-        std::uint64_t w[4];
-        std::memcpy(w, p + i, 32);
-        for (int j = 0; j < 4; ++j)
-            lane[j] = (lane[j] ^ w[j]) * kFnvPrime;
-    }
-    std::uint64_t h = kFnvBasis;
-    for (int j = 0; j < 4; ++j)
-        h = (h ^ lane[j]) * kFnvPrime;
-    for (; i + 8 <= len; i += 8) {
-        std::uint64_t w;
-        std::memcpy(&w, p + i, 8);
-        h = (h ^ w) * kFnvPrime;
-    }
-    for (; i < len; ++i)
-        h = (h ^ p[i]) * kFnvPrime;
-    return h;
 }
 
 void
@@ -384,55 +358,6 @@ reduceMinMax(const double *x, std::size_t n)
         r.max = x[i] > r.max ? x[i] : r.max;
     }
     return r;
-}
-
-/** (h ^ w) * kFnvPrime on two 64-bit lanes; the prime is 2^40 + 0x1b3,
- *  so the multiply decomposes into shift/add + two 32x32 products. */
-inline __m128i
-fnvStep(__m128i h, __m128i w)
-{
-    const __m128i p2 = _mm_set1_epi64x(0x1b3);
-    h = _mm_xor_si128(h, w);
-    const __m128i t0 = _mm_slli_epi64(h, 40);
-    const __m128i t1 = _mm_mul_epu32(h, p2);
-    const __m128i t2 =
-        _mm_slli_epi64(_mm_mul_epu32(_mm_srli_epi64(h, 32), p2), 32);
-    return _mm_add_epi64(_mm_add_epi64(t0, t1), t2);
-}
-
-std::uint64_t
-checksum(const void *data, std::size_t len)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    __m128i laneA = _mm_set_epi64x(
-        static_cast<long long>(kFnvBasis ^ (1 * kLaneGamma)),
-        static_cast<long long>(kFnvBasis ^ (0 * kLaneGamma)));
-    __m128i laneB = _mm_set_epi64x(
-        static_cast<long long>(kFnvBasis ^ (3 * kLaneGamma)),
-        static_cast<long long>(kFnvBasis ^ (2 * kLaneGamma)));
-    std::size_t i = 0;
-    for (; i + 32 <= len; i += 32) {
-        laneA = fnvStep(laneA, _mm_loadu_si128(
-                                   reinterpret_cast<const __m128i *>(
-                                       p + i)));
-        laneB = fnvStep(laneB, _mm_loadu_si128(
-                                   reinterpret_cast<const __m128i *>(
-                                       p + i + 16)));
-    }
-    alignas(16) std::uint64_t lane[4];
-    _mm_store_si128(reinterpret_cast<__m128i *>(lane), laneA);
-    _mm_store_si128(reinterpret_cast<__m128i *>(lane + 2), laneB);
-    std::uint64_t h = kFnvBasis;
-    for (int j = 0; j < 4; ++j)
-        h = (h ^ lane[j]) * kFnvPrime;
-    for (; i + 8 <= len; i += 8) {
-        std::uint64_t w;
-        std::memcpy(&w, p + i, 8);
-        h = (h ^ w) * kFnvPrime;
-    }
-    for (; i < len; ++i)
-        h = (h ^ p[i]) * kFnvPrime;
-    return h;
 }
 
 void
@@ -628,47 +553,6 @@ reduceMinMax(const double *x, std::size_t n)
     return r;
 }
 
-__attribute__((target("avx2"))) inline __m256i
-fnvStep(__m256i h, __m256i w)
-{
-    const __m256i p2 = _mm256_set1_epi64x(0x1b3);
-    h = _mm256_xor_si256(h, w);
-    const __m256i t0 = _mm256_slli_epi64(h, 40);
-    const __m256i t1 = _mm256_mul_epu32(h, p2);
-    const __m256i t2 = _mm256_slli_epi64(
-        _mm256_mul_epu32(_mm256_srli_epi64(h, 32), p2), 32);
-    return _mm256_add_epi64(_mm256_add_epi64(t0, t1), t2);
-}
-
-__attribute__((target("avx2"))) std::uint64_t
-checksum(const void *data, std::size_t len)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    __m256i lane = _mm256_set_epi64x(
-        static_cast<long long>(kFnvBasis ^ (3 * kLaneGamma)),
-        static_cast<long long>(kFnvBasis ^ (2 * kLaneGamma)),
-        static_cast<long long>(kFnvBasis ^ (1 * kLaneGamma)),
-        static_cast<long long>(kFnvBasis ^ (0 * kLaneGamma)));
-    std::size_t i = 0;
-    for (; i + 32 <= len; i += 32)
-        lane = fnvStep(lane, _mm256_loadu_si256(
-                                 reinterpret_cast<const __m256i *>(
-                                     p + i)));
-    alignas(32) std::uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), lane);
-    std::uint64_t h = kFnvBasis;
-    for (int j = 0; j < 4; ++j)
-        h = (h ^ lanes[j]) * kFnvPrime;
-    for (; i + 8 <= len; i += 8) {
-        std::uint64_t w;
-        std::memcpy(&w, p + i, 8);
-        h = (h ^ w) * kFnvPrime;
-    }
-    for (; i < len; ++i)
-        h = (h ^ p[i]) * kFnvPrime;
-    return h;
-}
-
 __attribute__((target("avx2"))) void
 copyBytes(void *dst, const void *src, std::size_t n)
 {
@@ -775,7 +659,6 @@ struct KernelTable
                           std::uint64_t *, std::size_t);
     double (*reduce_sum)(const double *, std::size_t);
     MinMax (*reduce_minmax)(const double *, std::size_t);
-    std::uint64_t (*checksum)(const void *, std::size_t);
     void (*copy_bytes)(void *, const void *, std::size_t);
     void (*gaussian_pairs)(const std::uint64_t *, double *,
                            std::size_t);
@@ -784,20 +667,20 @@ struct KernelTable
 
 constexpr KernelTable kScalarTable = {
     scalar::rngOutputMap, scalar::aliasResolve, scalar::reduceSum,
-    scalar::reduceMinMax, scalar::checksum,     scalar::copyBytes,
-    scalar::gaussianPairs, simd::Isa::Scalar,
+    scalar::reduceMinMax, scalar::copyBytes,  scalar::gaussianPairs,
+    simd::Isa::Scalar,
 };
 
 #ifdef SMARTCONF_SIMD_X86
 constexpr KernelTable kSse2Table = {
     sse2::rngOutputMap, sse2::aliasResolve, sse2::reduceSum,
-    sse2::reduceMinMax, sse2::checksum,     sse2::copyBytes,
-    sse2::gaussianPairs, simd::Isa::Sse2,
+    sse2::reduceMinMax, sse2::copyBytes,  sse2::gaussianPairs,
+    simd::Isa::Sse2,
 };
 constexpr KernelTable kAvx2Table = {
     avx2::rngOutputMap, avx2::aliasResolve, avx2::reduceSum,
-    avx2::reduceMinMax, avx2::checksum,     avx2::copyBytes,
-    avx2::gaussianPairs, simd::Isa::Avx2,
+    avx2::reduceMinMax, avx2::copyBytes,  avx2::gaussianPairs,
+    simd::Isa::Avx2,
 };
 #endif
 
@@ -878,10 +761,41 @@ reduceMinMax(const double *x, std::size_t n)
     return table().reduce_minmax(x, n);
 }
 
+// One body at every dispatch level.  Each lane is its own register-
+// resident chain of xor + 64-bit imul, so the four chains overlap in
+// the multiplier and the loop runs at imul throughput.  Neither SSE2
+// nor AVX2 has a 64-bit lane multiply; the emulated one (two 32x32
+// products plus shifts and adds) ran at half this speed.
 std::uint64_t
 checksum(const void *data, std::size_t len)
 {
-    return table().checksum(data, len);
+    const auto *p = static_cast<const unsigned char *>(data);
+    const auto word = [p](std::size_t at) {
+        std::uint64_t w;
+        std::memcpy(&w, p + at, 8);
+        return w;
+    };
+    std::uint64_t l0 = kFnvBasis;
+    std::uint64_t l1 = kFnvBasis ^ kLaneGamma;
+    std::uint64_t l2 = kFnvBasis ^ (2 * kLaneGamma);
+    std::uint64_t l3 = kFnvBasis ^ (3 * kLaneGamma);
+    std::size_t i = 0;
+    for (; i + 32 <= len; i += 32) {
+        l0 = (l0 ^ word(i)) * kFnvPrime;
+        l1 = (l1 ^ word(i + 8)) * kFnvPrime;
+        l2 = (l2 ^ word(i + 16)) * kFnvPrime;
+        l3 = (l3 ^ word(i + 24)) * kFnvPrime;
+    }
+    std::uint64_t h = kFnvBasis;
+    h = (h ^ l0) * kFnvPrime;
+    h = (h ^ l1) * kFnvPrime;
+    h = (h ^ l2) * kFnvPrime;
+    h = (h ^ l3) * kFnvPrime;
+    for (; i + 8 <= len; i += 8)
+        h = (h ^ word(i)) * kFnvPrime;
+    for (; i < len; ++i)
+        h = (h ^ p[i]) * kFnvPrime;
+    return h;
 }
 
 void

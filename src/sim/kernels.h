@@ -11,8 +11,9 @@
  * runtime-dispatched function pointer, and the scalar implementation is
  * the *canonical definition* of the kernel's output:
  *
- *  - Integer kernels (PRNG output map, alias-table resolution, the
- *    checksum, byte copies) are bit-identical across backends, period.
+ *  - Integer kernels (PRNG output map, alias-table resolution, byte
+ *    copies) are bit-identical across backends, period.  The checksum
+ *    has one scalar body for every level (see checksum()).
  *  - Floating-point reductions are made bit-identical by pinning one
  *    accumulation order — four virtual lanes, element i feeding lane
  *    i % 4, combined as (L0 op L2) op (L1 op L3), tail elements folded
@@ -90,12 +91,13 @@ MinMax reduceMinMax(const double *x, std::size_t n);
  *   h = B; for j in 0..3: h = (h ^ lane[j]) * P
  *   remaining full words:  h = (h ^ w) * P
  *   trailing bytes:        h = (h ^ byte) * P
- * Interleaving breaks the serial multiply dependency FNV-1a has, so
- * the lanes vectorize (the *P multiply decomposes as
- * (h << 40) + lo32(h)*0x1b3 + ((hi32(h)*0x1b3) << 32), all of which
- * SSE2/AVX2 have).  Bit-identical across backends; NOT the same value
- * as the old word-serial checksum64, which is why DiskRunCache's
- * format version moved.
+ * Interleaving breaks the serial multiply dependency FNV-1a has: the
+ * four lanes are four independent xor + 64-bit imul chains, which an
+ * out-of-order core overlaps, so the loop runs at multiply throughput
+ * (~8 bytes per cycle) rather than multiply latency.  One scalar body
+ * serves every dispatch level — SSE2/AVX2 have no 64-bit lane multiply
+ * to do better with.  NOT the same value as the old word-serial
+ * checksum64, which is why DiskRunCache's format version moved.
  */
 std::uint64_t checksum(const void *data, std::size_t len);
 

@@ -49,6 +49,15 @@ SegmentBuilder::SegmentBuilder(std::uint32_t format,
 {}
 
 void
+SegmentBuilder::reserve(std::size_t records,
+                        std::size_t key_and_payload_bytes)
+{
+    records_.reserve(records * kRecordHeaderBytes + key_and_payload_bytes);
+    meta_.reserve(records);
+    keys_.reserve(records);
+}
+
+void
 SegmentBuilder::add(const std::string &key, std::uint64_t seed,
                     bool seed_valid, std::uint64_t payload_checksum,
                     const void *payload, std::size_t payload_len)
@@ -56,16 +65,18 @@ SegmentBuilder::add(const std::string &key, std::uint64_t seed,
     const std::uint32_t klen = static_cast<std::uint32_t>(key.size());
     const std::uint32_t plen = static_cast<std::uint32_t>(payload_len);
 
-    // Record header: klen, plen, seed, checksum — then key, payload.
+    // Record header: klen, plen, seed, checksum — then key, payload,
+    // each appended once (no zero-filled resize).
+    char header[kRecordHeaderBytes];
+    std::memcpy(header, &klen, 4);
+    std::memcpy(header + 4, &plen, 4);
+    std::memcpy(header + 8, &seed, 8);
+    std::memcpy(header + 16, &payload_checksum, 8);
     const std::size_t rec_off = records_.size();
-    records_.resize(rec_off + kRecordHeaderBytes + klen + plen);
-    char *p = records_.data() + rec_off;
-    std::memcpy(p, &klen, 4);
-    std::memcpy(p + 4, &plen, 4);
-    std::memcpy(p + 8, &seed, 8);
-    std::memcpy(p + 16, &payload_checksum, 8);
-    std::memcpy(p + kRecordHeaderBytes, key.data(), klen);
-    std::memcpy(p + kRecordHeaderBytes + klen, payload, plen);
+    const auto *p = static_cast<const char *>(payload);
+    records_.insert(records_.end(), header, header + kRecordHeaderBytes);
+    records_.insert(records_.end(), key.begin(), key.end());
+    records_.insert(records_.end(), p, p + plen);
 
     Pending m;
     m.hash = fnv1a64(key);

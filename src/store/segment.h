@@ -119,6 +119,13 @@ class SegmentBuilder
     SegmentBuilder(std::uint32_t format, std::uint32_t engine,
                    std::uint32_t shard, std::uint32_t level);
 
+    /**
+     * Size the record region for @p records records whose keys and
+     * payloads total @p key_and_payload_bytes, so the add() calls that
+     * follow append in place instead of regrowing the region.
+     */
+    void reserve(std::size_t records, std::size_t key_and_payload_bytes);
+
     /** Append one record (payload checksum precomputed by the caller). */
     void add(const std::string &key, std::uint64_t seed,
              bool seed_valid, std::uint64_t payload_checksum,

@@ -128,11 +128,19 @@ SegmentStore::put(const std::string &key, const void *payload,
                   std::size_t payload_len,
                   std::uint64_t payload_checksum)
 {
-    rescanIfStale(); // also seeds the cross-process seq floor
+    const auto *p = static_cast<const char *>(payload);
+    return put(key, std::vector<char>(p, p + payload_len),
+               payload_checksum);
+}
+
+bool
+SegmentStore::put(const std::string &key, std::vector<char> &&payload,
+                  std::uint64_t payload_checksum)
+{
     const std::uint32_t shard_id = shardOf(key);
     Shard &sh = *shards_[shard_id];
-    bool sealed_ok = true;
-    bool sealed = false;
+    const std::size_t payload_len = payload.size();
+    bool full;
     {
         std::lock_guard<std::mutex> lock(sh.mu);
         auto it = sh.pending_slots.find(key);
@@ -142,34 +150,39 @@ SegmentStore::put(const std::string &key, const void *payload,
             Shard::PendingEntry &e = sh.pending[it->second];
             sh.pending_bytes -= e.payload.size();
             e.checksum = payload_checksum;
-            e.payload.assign(static_cast<const char *>(payload),
-                             static_cast<const char *>(payload) +
-                                 payload_len);
-            sh.pending_bytes += payload_len;
+            e.payload = std::move(payload);
         } else {
             Shard::PendingEntry e;
             e.seed_valid = seedOfKey(key, e.seed);
             if (!e.seed_valid)
                 e.seed = 0;
             e.checksum = payload_checksum;
-            e.payload.assign(static_cast<const char *>(payload),
-                             static_cast<const char *>(payload) +
-                                 payload_len);
+            e.payload = std::move(payload);
             sh.pending_slots.emplace(key, sh.pending.size());
             sh.pending_keys.push_back(key);
             sh.pending.push_back(std::move(e));
-            sh.pending_bytes += payload_len;
         }
-        if (sh.pending.size() >= opts_.flush_entries ||
-            sh.pending_bytes >= opts_.flush_bytes) {
-            sealed_ok = sealShardLocked(sh, shard_id);
-            sealed = true;
-        }
+        sh.pending_bytes += payload_len;
+        full = pendingFull(sh);
     }
     {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.puts;
         stats_.put_bytes += payload_len;
+    }
+    if (!full)
+        return true; // no system call on a put that does not seal
+
+    rescanIfStale(); // the seq floor, before a name is claimed
+    bool sealed = false;
+    bool sealed_ok = true;
+    {
+        std::lock_guard<std::mutex> lock(sh.mu);
+        // A racing put to this shard may have sealed it meanwhile.
+        if (pendingFull(sh)) {
+            sealed_ok = sealShardLocked(sh, shard_id);
+            sealed = true;
+        }
     }
     if (sealed && sealed_ok) {
         std::lock_guard<std::mutex> lock(store_mu_);
@@ -178,6 +191,13 @@ SegmentStore::put(const std::string &key, const void *payload,
     if (sealed)
         kickCompactor();
     return sealed_ok;
+}
+
+bool
+SegmentStore::pendingFull(const Shard &sh) const
+{
+    return sh.pending.size() >= opts_.flush_entries ||
+           sh.pending_bytes >= opts_.flush_bytes;
 }
 
 bool
@@ -201,20 +221,15 @@ SegmentStore::get(const std::string &key, std::vector<char> &out)
             return true;
         }
     }
+    // A key in an already-open segment is served without looking at
+    // the directory: entries are pure values, and a compacted-away
+    // segment stays readable through the fd this instance holds.
     if (lookupSegments(key, hash, sh, out))
         return true;
-    // Miss: another process may have published since our last scan.
-    std::int64_t stamp_before;
-    {
-        std::lock_guard<std::mutex> lock(store_mu_);
-        stamp_before = last_scan_stamp_;
-    }
+    // Miss: another process may have published since our last scan,
+    // or a concurrent get may be mid-scan.  rescanIfStale() returns
+    // once any scan in flight is done, so the retry sees its segments.
     rescanIfStale();
-    {
-        std::lock_guard<std::mutex> lock(store_mu_);
-        if (last_scan_stamp_ == stamp_before && scanned_)
-            return false; // nothing new appeared
-    }
     return lookupSegments(key, hash, sh, out);
 }
 
@@ -222,7 +237,6 @@ bool
 SegmentStore::lookupSegments(const std::string &key, std::uint64_t hash,
                              Shard &sh, std::vector<char> &out)
 {
-    rescanIfStale();
     std::vector<std::shared_ptr<OpenSegment>> segs;
     {
         std::lock_guard<std::mutex> lock(sh.mu);
@@ -238,21 +252,23 @@ SegmentStore::lookupSegments(const std::string &key, std::uint64_t hash,
         for (; it != entries.end() && it->hash == hash; ++it) {
             if (seg->index.keyOf(*it) != key)
                 continue; // hash collision: keep looking
-            std::vector<char> payload(it->payload_len);
+            out.resize(it->payload_len);
             const ::ssize_t n =
-                ::pread(seg->fd, payload.data(), payload.size(),
+                ::pread(seg->fd, out.data(), out.size(),
                         static_cast<::off_t>(it->payload_off));
             {
                 std::lock_guard<std::mutex> lock(stats_mu_);
                 ++stats_.reads;
                 stats_.read_bytes += it->payload_len;
             }
-            if (n != static_cast<::ssize_t>(payload.size()))
-                return false; // torn segment tail: miss
-            if (blockChecksum(payload.data(), payload.size()) !=
-                it->payload_checksum)
-                return false; // flipped payload bit: miss
-            out = std::move(payload);
+            if (n != static_cast<::ssize_t>(out.size()) ||
+                blockChecksum(out.data(), out.size()) !=
+                    it->payload_checksum) {
+                // Torn segment tail or flipped payload bit: a miss,
+                // and no damaged bytes are left in the caller's buffer.
+                out.clear();
+                return false;
+            }
             std::lock_guard<std::mutex> lock(stats_mu_);
             ++stats_.hits;
             return true;
@@ -267,6 +283,10 @@ SegmentStore::sealShardLocked(Shard &sh, std::uint32_t shard_id)
     if (sh.pending.empty())
         return true;
     SegmentBuilder b(opts_.format, opts_.engine, shard_id, 0);
+    std::size_t key_bytes = 0;
+    for (const std::string &key : sh.pending_keys)
+        key_bytes += key.size();
+    b.reserve(sh.pending.size(), key_bytes + sh.pending_bytes);
     for (std::size_t i = 0; i < sh.pending.size(); ++i) {
         const Shard::PendingEntry &e = sh.pending[i];
         b.add(sh.pending_keys[i], e.seed, e.seed_valid, e.checksum,
@@ -440,6 +460,9 @@ SegmentStore::rescanLocked()
 bool
 SegmentStore::flush()
 {
+    if (stats().pending_entries == 0)
+        return true;
+    rescanIfStale(); // the seq floor, before any name is claimed
     bool ok = true;
     bool published = false;
     for (std::uint32_t s = 0; s < opts_.shard_count; ++s) {
@@ -520,11 +543,17 @@ SegmentStore::compactShard(std::uint32_t shard_id,
     // values are pure, so this is tie-breaking, not semantics).
     std::uint32_t level = 0;
     std::uint64_t entries_in = 0;
+    std::size_t record_bytes = 0;
     for (const auto &seg : inputs) {
         level = std::max(level, seg->header.level);
         entries_in += seg->header.count;
+        for (const IndexEntry &e : seg->index.entries)
+            record_bytes += std::size_t{e.key_len} + e.payload_len;
     }
     SegmentBuilder b(opts_.format, opts_.engine, shard_id, level + 1);
+    // Sized for every input record; superseded duplicates only leave
+    // the reservation partly unused.
+    b.reserve(static_cast<std::size_t>(entries_in), record_bytes);
 
     std::vector<std::size_t> cursor(inputs.size(), 0);
     std::vector<char> payload;

@@ -18,9 +18,10 @@
  *    segments into uniquely named temp files and publishes them with
  *    one atomic rename — the same discipline the blob store used, now
  *    amortized over hundreds of entries per rename;
- *  - readers discover segments by directory listing (rescanned when
- *    the directory mtime moves), so a concurrent writer's published
- *    segments become visible without any coordination;
+ *  - readers discover segments by directory listing (rescanned on a
+ *    miss, a seal or a flush when the directory mtime has moved), so
+ *    a concurrent writer's published segments become visible without
+ *    any coordination;
  *  - compaction merges a shard's sealed segments into one sorted
  *    higher-level segment (external-merge over the already-sorted
  *    indexes), publishes it by rename, atomically swaps the MANIFEST,
@@ -169,9 +170,22 @@ class SegmentStore
              std::size_t payload_len, std::uint64_t payload_checksum);
 
     /**
+     * Same, taking ownership of @p payload: the bytes move into the
+     * pending buffer uncopied.  A put that does not seal makes no
+     * system call; a seal first rescans the directory, so the sealed
+     * segment's seq tops every segment already published.
+     */
+    bool put(const std::string &key, std::vector<char> &&payload,
+             std::uint64_t payload_checksum);
+
+    /**
      * Fetch the payload stored under @p key into @p out.  Checks the
-     * pending buffer, then published segments newest-first; validates
-     * the full key and the payload checksum.  @return true on a hit.
+     * pending buffer, then the open segments newest-first, preading
+     * the payload straight into @p out; validates the full key and the
+     * payload checksum.  Only a miss looks at the directory: it
+     * rescans if the directory changed, then looks up once more.
+     * @return true on a hit; on a miss @p out holds no payload bytes
+     *         from this call.
      */
     bool get(const std::string &key, std::vector<char> &out);
 
@@ -227,6 +241,7 @@ class SegmentStore
         std::vector<std::shared_ptr<OpenSegment>> segments;
     };
 
+    bool pendingFull(const Shard &sh) const; ///< seal threshold hit
     bool sealShardLocked(Shard &sh, std::uint32_t shard_id);
     bool publishSegment(const SegmentBuilder &b, std::uint32_t shard_id,
                         std::string *published_name);

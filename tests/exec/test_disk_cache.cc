@@ -12,9 +12,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "fault/cache_faults.h"
 #include "scenarios/scenario.h"
 #include "sim/metrics.h"
+#include "sim/rng.h"
 
 namespace smartconf::exec {
 namespace {
@@ -412,6 +416,151 @@ TEST_F(DiskRunCacheTest, DetachStopsSpilling)
     });
     EXPECT_EQ(cache.stats().disk_stores, 0u);
     EXPECT_FALSE(fs::exists(root_));
+}
+
+// ---------------------------------------------------------------------------
+// Payload parser fuzzing: whatever the bytes, parseResult returns false or
+// a result that survives its own round trip.  It never throws or crashes,
+// because load() hands it any payload whose checksum matches.
+
+/** Offsets of every u64 length or count field in serializeResult(r). */
+std::vector<std::size_t>
+lengthFieldOffsets(const scenarios::ScenarioResult &r)
+{
+    std::vector<std::size_t> at;
+    std::size_t pos = 0;
+    at.push_back(pos); // scenario_id length
+    pos += 8 + r.scenario_id.size();
+    at.push_back(pos); // policy_label length
+    pos += 8 + r.policy_label.size() + 1 + 6 * 8 + 2 * 8;
+    at.push_back(pos); // shard_ops count
+    pos += 8 + 8 * r.shard_ops.size();
+    for (const sim::TimeSeries *ts :
+         {&r.perf_series, &r.conf_series, &r.tradeoff_series}) {
+        at.push_back(pos); // series name length
+        pos += 8 + ts->name().size();
+        at.push_back(pos); // point count
+        pos += 8 + 16 * ts->size();
+    }
+    EXPECT_EQ(pos, DiskRunCache::serializeResult(r).size());
+    return at;
+}
+
+/** Parse @p bytes, reporting (not propagating) an exception. */
+bool
+parseNoThrow(const std::vector<char> &bytes, scenarios::ScenarioResult &out)
+{
+    try {
+        return DiskRunCache::parseResult(bytes.data(), bytes.size(), out);
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << "parseResult threw: " << e.what();
+    }
+    return false;
+}
+
+TEST(DiskRunCacheFuzz, ParseRejectsWrappingLengthField)
+{
+    scenarios::ScenarioResult r;
+    r.scenario_id = "HB3813";
+    r.policy_label = "SmartConf";
+    r.perf_series = sim::TimeSeries("used_memory_mb");
+    r.conf_series = sim::TimeSeries("max.queue.size");
+    r.tradeoff_series = sim::TimeSeries("completed_ops");
+    for (int t = 0; t < 64; ++t) {
+        r.perf_series.record(t, 400.0 + t);
+        r.conf_series.record(t, 100.0 - t);
+        r.tradeoff_series.record(t, 17.0 * t);
+    }
+    const std::vector<char> clean = DiskRunCache::serializeResult(r);
+    for (const std::size_t at : lengthFieldOffsets(r)) {
+        for (std::uint64_t k = 1; k <= 64; ++k) {
+            // pos + n wraps past 2^64 for these; n > size - pos does not.
+            const std::uint64_t n = ~std::uint64_t{0} - (k - 1);
+            std::vector<char> bytes = clean;
+            std::memcpy(bytes.data() + at, &n, sizeof n);
+            scenarios::ScenarioResult out;
+            EXPECT_FALSE(parseNoThrow(bytes, out))
+                << "field at " << at << " = 2^64-" << k;
+        }
+    }
+}
+
+TEST(DiskRunCacheFuzz, MutatedPayloadsParseCleanlyOrNotAtAll)
+{
+    // Real payloads: the SmartConf results of two scenarios, seed 1.
+    std::vector<scenarios::ScenarioResult> real;
+    for (const char *id : {"MR2820", "HD4995"})
+        real.push_back(scenarios::makeScenario(id)->run(
+            scenarios::Policy::smart(), 1));
+
+    sim::Rng rng(0xf022);
+    const auto randomByte = [&] {
+        return static_cast<char>(rng.next() & 0xff);
+    };
+    int accepted = 0;
+    int rejected = 0;
+    for (const scenarios::ScenarioResult &base : real) {
+        const std::vector<char> clean = DiskRunCache::serializeResult(base);
+        const std::vector<std::size_t> fields = lengthFieldOffsets(base);
+        for (int i = 0; i < 2000; ++i) {
+            std::vector<char> bytes = clean;
+            // Half the edits land in the first 256 bytes, where the
+            // strings, scalars and the first series header live.
+            const std::size_t span =
+                rng.below(2) == 0 ? std::min<std::size_t>(256, bytes.size())
+                                  : bytes.size();
+            const std::size_t at = rng.below(span);
+            switch (rng.below(4)) {
+            case 0: { // overwrite 1-8 bytes
+                const std::size_t n =
+                    std::min<std::size_t>(rng.below(8) + 1,
+                                          bytes.size() - at);
+                for (std::size_t j = 0; j < n; ++j)
+                    bytes[at + j] = randomByte();
+                break;
+            }
+            case 1: { // insert 1-16 bytes
+                std::vector<char> ins(rng.below(16) + 1);
+                for (char &c : ins)
+                    c = randomByte();
+                bytes.insert(bytes.begin() + static_cast<long>(at),
+                             ins.begin(), ins.end());
+                break;
+            }
+            case 2: { // delete 1-16 bytes
+                const std::size_t n =
+                    std::min<std::size_t>(rng.below(16) + 1,
+                                          bytes.size() - at);
+                bytes.erase(bytes.begin() + static_cast<long>(at),
+                            bytes.begin() + static_cast<long>(at + n));
+                break;
+            }
+            default: { // a length or count field near 2^64
+                const std::uint64_t n = ~std::uint64_t{0} - rng.below(64);
+                std::memcpy(bytes.data() + fields[rng.below(fields.size())],
+                            &n, sizeof n);
+                break;
+            }
+            }
+            scenarios::ScenarioResult out;
+            if (!parseNoThrow(bytes, out)) {
+                ++rejected;
+                continue;
+            }
+            ++accepted;
+            // An accepted mutant is a result like any other: its bytes
+            // (a nonzero `violated` byte normalizes to 1) parse and
+            // re-serialize to themselves.
+            const std::vector<char> again = DiskRunCache::serializeResult(out);
+            scenarios::ScenarioResult back;
+            ASSERT_TRUE(parseNoThrow(again, back)) << "mutant " << i;
+            ASSERT_EQ(DiskRunCache::serializeResult(back), again)
+                << "mutant " << i;
+        }
+    }
+    // Both outcomes must actually occur, or the loop tested one path.
+    EXPECT_GT(accepted, 0);
+    EXPECT_GT(rejected, 0);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -149,6 +150,98 @@ TEST_F(SegmentStoreTest, RescanPicksUpSegmentsPublishedByAPeer)
     ASSERT_TRUE(reader.get("k-late", out));
     EXPECT_EQ(std::string(out.begin(), out.end()), "from-peer");
     EXPECT_GT(reader.stats().rescans, 0u);
+}
+
+TEST_F(SegmentStoreTest, FreshInstanceSealsNewerThanEveryPublishedSegment)
+{
+    const auto seqOf = [](const std::string &path) {
+        unsigned shard = 0;
+        unsigned long long seq = 0;
+        const std::string name = fs::path(path).filename().string();
+        EXPECT_EQ(std::sscanf(name.c_str(), "seg-%2x-%16llx-", &shard,
+                              &seq),
+                  2)
+            << name;
+        return static_cast<std::uint64_t>(seq);
+    };
+    SegmentStore::Options one = quiet(64);
+    one.shard_count = 1;
+    {
+        // Four publishes compacted into one: the only file left on disk
+        // carries a seq that an instance counting from zero would hand
+        // out again without clashing with any name.
+        SegmentStore w(dir_, one);
+        for (int round = 0; round < 4; ++round) {
+            ASSERT_TRUE(putStr(w, "k", "old-" + std::to_string(round)));
+            ASSERT_TRUE(w.flush());
+        }
+        ASSERT_EQ(w.compact().segments_out, 1u);
+    }
+    std::uint64_t newest_before = 0;
+    for (const std::string &path : fault::listSegmentFiles(dir_))
+        newest_before = std::max(newest_before, seqOf(path));
+
+    // A second instance that only puts and flushes: it never reads, so
+    // only the seal itself can learn the seq floor from the directory.
+    {
+        SegmentStore second(dir_, one);
+        ASSERT_TRUE(putStr(second, "k", "new"));
+        ASSERT_TRUE(second.flush());
+    }
+    std::uint64_t newest_after = 0;
+    for (const std::string &path : fault::listSegmentFiles(dir_))
+        newest_after = std::max(newest_after, seqOf(path));
+    EXPECT_GT(newest_after, newest_before);
+
+    // So its copy is the one lookups and compaction keep.
+    SegmentStore r(dir_, one);
+    std::vector<char> out;
+    ASSERT_TRUE(r.get("k", out));
+    EXPECT_EQ(std::string(out.begin(), out.end()), "new");
+    ASSERT_EQ(r.compact().segments_out, 1u);
+    ASSERT_TRUE(r.get("k", out));
+    EXPECT_EQ(std::string(out.begin(), out.end()), "new");
+    SegmentStore after(dir_, one);
+    ASSERT_TRUE(after.get("k", out));
+    EXPECT_EQ(std::string(out.begin(), out.end()), "new");
+}
+
+TEST_F(SegmentStoreTest, ConcurrentFirstGetsOnAFreshInstanceAllHit)
+{
+    constexpr int kKeys = 64;
+    {
+        SegmentStore w(dir_, quiet(8));
+        for (int i = 0; i < kKeys; ++i)
+            ASSERT_TRUE(putStr(w, keyFor(i), payloadFor(i)));
+        ASSERT_TRUE(w.flush());
+    }
+    // Every reader's first get misses the empty segment list of a fresh
+    // instance while another reader's rescan is filling it; each must
+    // wait for that scan and retry, not report a miss.
+    std::atomic<int> misses{0};
+    for (int round = 0; round < 20; ++round) {
+        SegmentStore r(dir_, quiet());
+        std::atomic<int> ready{0};
+        std::vector<std::thread> readers;
+        for (int t = 0; t < 4; ++t) {
+            readers.emplace_back([&, t] {
+                ready.fetch_add(1);
+                while (ready.load() < 4)
+                    std::this_thread::yield();
+                std::vector<char> out;
+                for (int k = 0; k < kKeys; ++k) {
+                    const int i = (k + t * 16) % kKeys;
+                    if (!r.get(keyFor(i), out) ||
+                        std::string(out.begin(), out.end()) !=
+                            payloadFor(i))
+                        misses.fetch_add(1);
+                }
+            });
+        }
+        for (std::thread &th : readers)
+            th.join();
+    }
+    EXPECT_EQ(misses.load(), 0);
 }
 
 TEST_F(SegmentStoreTest, CompactionMergesDedupsAndUnlinksInputs)

@@ -7,7 +7,7 @@
  * recorded in BENCH_kernels.json via bench/check_regression --update).
  *
  * "Element" is one uint64 word for the RNG/alias kernels, one double
- * for the reductions, and one byte for checksum/copy.  Batch sizes use
+ * for the reductions, and one byte for the checksum.  Batch sizes use
  * a hot size (4096) large enough that dispatch overhead amortizes out
  * — the point is kernel body throughput, not call cost (bench_sweep
  * carries the end-to-end number).
@@ -37,7 +37,7 @@ using smartconf::sim::Rng;
 namespace {
 
 constexpr std::size_t kWords = 4096;  ///< uint64 elements per batch
-constexpr std::size_t kBytes = 65536; ///< checksum/copy payload
+constexpr std::size_t kBytes = 65536; ///< checksum payload
 
 /** Best-of-reps ns/element for @p body run @p iters times per rep. */
 template <typename Body>
@@ -86,7 +86,6 @@ main(int argc, char **argv)
     std::vector<std::uint64_t> scratch(kWords);
     std::vector<double> doubles(kWords);
     std::vector<unsigned char> bytes(kBytes);
-    std::vector<unsigned char> dst(kBytes);
     Rng seedr(0xbe7c4);
     for (auto &w : words)
         w = seedr.next();
@@ -99,8 +98,7 @@ main(int argc, char **argv)
 
     Row rows[] = {
         {"rng_fill"},      {"alias_sample"}, {"reduce_sum"},
-        {"reduce_minmax"}, {"checksum"},     {"copy"},
-        {"gaussian"},
+        {"reduce_minmax"}, {"checksum"},     {"gaussian"},
     };
     const auto run_all = [&](bool scalar) {
         const auto set = [&](Row &row, double v) {
@@ -126,12 +124,9 @@ main(int argc, char **argv)
         set(rows[4], nsPerElement(kBytes, 100, [&] {
                 g_sink = kernels::checksum(bytes.data(), kBytes);
             }));
-        set(rows[5], nsPerElement(kBytes, 100, [&] {
-                kernels::copyBytes(dst.data(), bytes.data(), kBytes);
-            }));
         // End-to-end normal draw (fillRaw + polynomial Box-Muller),
         // the YCSB size-jitter path; element = one normal.
-        set(rows[6], nsPerElement(kWords, 400, [&] {
+        set(rows[5], nsPerElement(kWords, 400, [&] {
                 rng.gaussianBatch(0.0, 1.0, doubles.data(), kWords);
             }));
     };

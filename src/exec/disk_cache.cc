@@ -131,7 +131,8 @@ class Reader
     {
         if (n > size_ - pos_)
             return false;
-        sim::kernels::copyBytes(out, data_ + pos_, n);
+        if (n != 0) // an empty shard_ops vector hands in a null `out`
+            std::memcpy(out, data_ + pos_, n);
         pos_ += n;
         return true;
     }
@@ -197,24 +198,6 @@ DiskRunCache::versionDir(const std::string &root)
 {
     return root + "/v" + std::to_string(kFormatVersion) + "-e" +
            std::to_string(kEngineVersion);
-}
-
-std::uint64_t
-DiskRunCache::fnv1a(const std::string &s)
-{
-    return fnv1a(s.data(), s.size());
-}
-
-std::uint64_t
-DiskRunCache::fnv1a(const void *data, std::size_t len)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
 }
 
 std::uint64_t

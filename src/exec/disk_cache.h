@@ -140,12 +140,6 @@ class DiskRunCache
     static bool parseResult(const char *data, std::size_t len,
                             scenarios::ScenarioResult &out);
 
-    /** FNV-1a 64-bit hash (key hashing; exposed for tests). */
-    static std::uint64_t fnv1a(const std::string &s);
-
-    /** FNV-1a over raw bytes. */
-    static std::uint64_t fnv1a(const void *data, std::size_t len);
-
     /**
      * Payload checksum: the kernel layer's four-lane interleaved
      * FNV-1a-style hash (sim/kernels::checksum) — one scalar body at

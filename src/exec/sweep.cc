@@ -111,13 +111,16 @@ parseSweepArgs(int argc, char **argv,
     SweepArgs args;
     args.sweep.disk_cache_dir = default_cache_dir;
     auto parseJobs = [&](const char *text) {
+        constexpr long kMaxJobs = 1024;
         char *end = nullptr;
+        // strtol saturates out-of-range text to LONG_MAX, which the
+        // upper bound then rejects.
         const long v = std::strtol(text, &end, 10);
-        if (end == text || *end != '\0' || v < 1) {
+        if (end == text || *end != '\0' || v < 1 || v > kMaxJobs) {
             std::fprintf(stderr,
                          "invalid --jobs value '%s' (want an integer "
-                         ">= 1)\n",
-                         text);
+                         "from 1 to %ld)\n",
+                         text, kMaxJobs);
             std::exit(2);
         }
         args.sweep.jobs = static_cast<std::size_t>(v);

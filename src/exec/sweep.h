@@ -138,7 +138,9 @@ struct SweepArgs
  * Parse `--jobs N` (also `--jobs=N`, `-j N`), `--json`,
  * `--cache-dir PATH` (also `--cache-dir=PATH`) and `--no-disk-cache`
  * from a bench harness's argv; unknown arguments are ignored.  Exits
- * with a usage message on a malformed --jobs value.
+ * with status 2 and a usage message on a --jobs value that is not an
+ * integer from 1 to 1024 (each runner past the first is a helper
+ * thread).
  *
  * @p default_cache_dir seeds SweepOptions::disk_cache_dir before the
  * flags are applied: harnesses that want the persistent store by

@@ -112,12 +112,6 @@ class ZipfTableCache
         return table;
     }
 
-    std::size_t size()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return memo_.size();
-    }
-
   private:
     std::mutex mu_;
     std::map<std::pair<std::uint64_t, double>,
@@ -138,12 +132,6 @@ std::shared_ptr<const AliasTable>
 AliasTable::zipfian(std::uint64_t n, double theta)
 {
     return zipfTableCache().get(n, theta);
-}
-
-std::size_t
-AliasTable::zipfCacheSize()
-{
-    return zipfTableCache().size();
 }
 
 } // namespace smartconf::sim

@@ -73,12 +73,6 @@ class AliasTable
     void sampleBatch(Rng &rng, std::uint64_t *out,
                      std::size_t count) const;
 
-    /** Alias kept from the pre-kernel batch API; see sampleBatch(). */
-    void sampleInto(Rng &rng, std::uint64_t *out, std::size_t count) const
-    {
-        sampleBatch(rng, out, count);
-    }
-
     /** Population size n. */
     std::size_t size() const { return static_cast<std::size_t>(n_); }
 
@@ -93,9 +87,6 @@ class AliasTable
      */
     static std::shared_ptr<const AliasTable> zipfian(std::uint64_t n,
                                                      double theta);
-
-    /** Memoized zipfian() entries (test/diagnostic hook). */
-    static std::size_t zipfCacheSize();
 
   private:
     /** threshold (high 32, fixed-point acceptance bound) | alias (low 32). */

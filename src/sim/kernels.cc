@@ -6,17 +6,16 @@
 
 /*
  * Backend layout.  The scalar namespace is the canonical definition of
- * every dispatched kernel; the sse2/avx2 namespaces re-implement the
- * same math on wider registers and are compiled only when the build
- * enables them (-DSMARTCONF_SIMD=ON, the default) on an x86 target.
- * Each SIMD function carries a gcc/clang `target` attribute instead of
- * the whole TU being built with -mavx2, so the compiler can never leak
- * AVX2 instructions into code that runs on narrower hosts.  checksum()
- * is not dispatched: its one scalar body is the fastest at every level.
+ * every dispatched kernel; the avx2 namespace re-implements the same
+ * math on 256-bit registers and is compiled on every x86 target.  Each
+ * AVX2 function carries a gcc/clang `target` attribute instead of the
+ * whole TU being built with -mavx2, so the compiler can never leak AVX2
+ * instructions into code that runs on narrower hosts; those hosts run
+ * the scalar reference.  checksum() is not dispatched: its one scalar
+ * body is the fastest at every level.
  */
-#if defined(SMARTCONF_SIMD_ENABLED) && \
-    (defined(__x86_64__) || defined(__i386__))
-#define SMARTCONF_SIMD_X86 1
+#if defined(__x86_64__) || defined(__i386__)
+#define SMARTCONF_X86 1
 #include <immintrin.h>
 #endif
 
@@ -27,15 +26,7 @@ namespace simd {
 const char *
 name(Isa isa)
 {
-    switch (isa) {
-    case Isa::Sse2:
-        return "sse2";
-    case Isa::Avx2:
-        return "avx2";
-    case Isa::Scalar:
-    default:
-        return "scalar";
-    }
+    return isa == Isa::Avx2 ? "avx2" : "scalar";
 }
 
 bool
@@ -45,10 +36,6 @@ parse(std::string_view text, Isa &out)
         out = Isa::Scalar;
         return true;
     }
-    if (text == "sse2") {
-        out = Isa::Sse2;
-        return true;
-    }
     if (text == "avx2") {
         out = Isa::Avx2;
         return true;
@@ -56,31 +43,18 @@ parse(std::string_view text, Isa &out)
     return false;
 }
 
-bool
-compiledIn()
-{
-#ifdef SMARTCONF_SIMD_X86
-    return true;
-#else
-    return false;
-#endif
-}
-
 Isa
 detected()
 {
-#ifdef SMARTCONF_SIMD_X86
     static const Isa level = [] {
+        Isa isa = Isa::Scalar;
+#ifdef SMARTCONF_X86
         if (__builtin_cpu_supports("avx2"))
-            return Isa::Avx2;
-        if (__builtin_cpu_supports("sse2"))
-            return Isa::Sse2;
-        return Isa::Scalar;
+            isa = Isa::Avx2;
+#endif
+        return isa;
     }();
     return level;
-#else
-    return Isa::Scalar;
-#endif
 }
 
 bool
@@ -185,13 +159,6 @@ reduceMinMax(const double *x, std::size_t n)
     return r;
 }
 
-void
-copyBytes(void *dst, const void *src, std::size_t n)
-{
-    if (n != 0)
-        std::memcpy(dst, src, n);
-}
-
 // Gaussian-pair body (kernels_gauss.inc) on plain doubles.  The ops
 // all lower to bare IEEE scalar instructions, so this reference is
 // what the vector backends' lanes must match bit-for-bit.
@@ -253,205 +220,7 @@ gaussianPairs(const std::uint64_t *words, double *z, std::size_t pairs)
 
 } // namespace scalar
 
-#ifdef SMARTCONF_SIMD_X86
-
-// ----------------------------------------------------------------- sse2
-// 128-bit backend: two registers stand in for the four virtual lanes
-// (A = lanes {0,1}, B = lanes {2,3}), so the combine step
-// A op B = {L0 op L2, L1 op L3} reproduces the scalar reference's
-// (L0 op L2) op (L1 op L3) exactly.
-
-namespace sse2 {
-
-void
-rngOutputMap(std::uint64_t *words, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        __m128i x = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(words + i));
-        const __m128i x5 = _mm_add_epi64(_mm_slli_epi64(x, 2), x);
-        const __m128i r = _mm_or_si128(_mm_slli_epi64(x5, 7),
-                                       _mm_srli_epi64(x5, 57));
-        x = _mm_add_epi64(_mm_slli_epi64(r, 3), r);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(words + i), x);
-    }
-    if (i < n)
-        words[i] = rotl64(words[i] * 5, 7) * 9;
-}
-
-void
-aliasResolve(const std::uint64_t *entries, std::uint64_t n_slots,
-             std::uint64_t *words, std::size_t n)
-{
-    // Slot selection vectorizes (pmuludq exists in SSE2); the gather
-    // and the 64-bit compare/select do not, so they stay scalar.
-    const __m128i nvec =
-        _mm_set1_epi64x(static_cast<long long>(n_slots));
-    std::size_t i = 0;
-    alignas(16) std::uint64_t slot[2];
-    for (; i + 2 <= n; i += 2) {
-        const __m128i w = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(words + i));
-        const __m128i hi = _mm_srli_epi64(w, 32);
-        _mm_store_si128(
-            reinterpret_cast<__m128i *>(slot),
-            _mm_srli_epi64(_mm_mul_epu32(hi, nvec), 32));
-        for (int k = 0; k < 2; ++k) {
-            const std::uint64_t entry = entries[slot[k]];
-            words[i + k] =
-                static_cast<std::uint32_t>(words[i + k]) <
-                        static_cast<std::uint32_t>(entry >> 32)
-                    ? slot[k]
-                    : static_cast<std::uint32_t>(entry);
-        }
-    }
-    if (i < n)
-        scalar::aliasResolve(entries, n_slots, words + i, n - i);
-}
-
-double
-reduceSum(const double *x, std::size_t n)
-{
-    __m128d a = _mm_setzero_pd(); // lanes {0, 1}
-    __m128d b = _mm_setzero_pd(); // lanes {2, 3}
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        a = _mm_add_pd(a, _mm_loadu_pd(x + i));
-        b = _mm_add_pd(b, _mm_loadu_pd(x + i + 2));
-    }
-    const __m128d s = _mm_add_pd(a, b); // {L0+L2, L1+L3}
-    const double lo = _mm_cvtsd_f64(s);
-    const double hi = _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
-    double total = lo + hi;
-    for (; i < n; ++i)
-        total += x[i];
-    return total;
-}
-
-MinMax
-reduceMinMax(const double *x, std::size_t n)
-{
-    constexpr double kInf = __builtin_inf();
-    __m128d mna = _mm_set1_pd(kInf), mnb = _mm_set1_pd(kInf);
-    __m128d mxa = _mm_set1_pd(-kInf), mxb = _mm_set1_pd(-kInf);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m128d va = _mm_loadu_pd(x + i);
-        const __m128d vb = _mm_loadu_pd(x + i + 2);
-        mna = _mm_min_pd(va, mna);
-        mnb = _mm_min_pd(vb, mnb);
-        mxa = _mm_max_pd(va, mxa);
-        mxb = _mm_max_pd(vb, mxb);
-    }
-    const __m128d cn = _mm_min_pd(mna, mnb); // {f(L0,L2), f(L1,L3)}
-    const __m128d cx = _mm_max_pd(mxa, mxb);
-    const double cn0 = _mm_cvtsd_f64(cn);
-    const double cn1 = _mm_cvtsd_f64(_mm_unpackhi_pd(cn, cn));
-    const double cx0 = _mm_cvtsd_f64(cx);
-    const double cx1 = _mm_cvtsd_f64(_mm_unpackhi_pd(cx, cx));
-    MinMax r;
-    r.min = cn0 < cn1 ? cn0 : cn1;
-    r.max = cx0 > cx1 ? cx0 : cx1;
-    for (; i < n; ++i) {
-        r.min = x[i] < r.min ? x[i] : r.min;
-        r.max = x[i] > r.max ? x[i] : r.max;
-    }
-    return r;
-}
-
-void
-copyBytes(void *dst, const void *src, std::size_t n)
-{
-    auto *d = static_cast<unsigned char *>(dst);
-    const auto *s = static_cast<const unsigned char *>(src);
-    while (n >= 32) {
-        const __m128i a =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(s));
-        const __m128i b = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(s + 16));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(d), a);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(d + 16), b);
-        d += 32;
-        s += 32;
-        n -= 32;
-    }
-    if (n != 0)
-        std::memcpy(d, s, n);
-}
-
-// Gaussian-pair body on 128-bit lanes.  Identical operation sequence
-// to the scalar include; _mm_cmpgt_pd differs from _CMP_GT_OQ only on
-// NaN inputs, which gkLog's mantissa compare never sees.
-#define GK_FN static inline
-#define GK_D __m128d
-#define GK_I __m128i
-#define GK_SETD(c) _mm_set1_pd(c)
-#define GK_SETI(c) _mm_set1_epi64x(static_cast<long long>(c))
-#define GK_ADD(a, b) _mm_add_pd((a), (b))
-#define GK_SUB(a, b) _mm_sub_pd((a), (b))
-#define GK_MUL(a, b) _mm_mul_pd((a), (b))
-#define GK_DIV(a, b) _mm_div_pd((a), (b))
-#define GK_SQRT(a) _mm_sqrt_pd(a)
-#define GK_CASTDI(d) _mm_castpd_si128(d)
-#define GK_CASTID(i) _mm_castsi128_pd(i)
-#define GK_ANDI(a, b) _mm_and_si128((a), (b))
-#define GK_ORI(a, b) _mm_or_si128((a), (b))
-#define GK_XORI(a, b) _mm_xor_si128((a), (b))
-#define GK_ADDI(a, b) _mm_add_epi64((a), (b))
-#define GK_SUBI(a, b) _mm_sub_epi64((a), (b))
-#define GK_SHRI(v, k) _mm_srli_epi64((v), (k))
-#define GK_SHLI(v, k) _mm_slli_epi64((v), (k))
-#define GK_CMPGT(a, b) _mm_castpd_si128(_mm_cmpgt_pd((a), (b)))
-#define GK_SEL(m, a, b)                                         \
-    _mm_castsi128_pd(                                           \
-        _mm_or_si128(_mm_and_si128((m), _mm_castpd_si128(a)),   \
-                     _mm_andnot_si128((m), _mm_castpd_si128(b))))
-#include "sim/kernels_gauss.inc"
-#undef GK_FN
-#undef GK_D
-#undef GK_I
-#undef GK_SETD
-#undef GK_SETI
-#undef GK_ADD
-#undef GK_SUB
-#undef GK_MUL
-#undef GK_DIV
-#undef GK_SQRT
-#undef GK_CASTDI
-#undef GK_CASTID
-#undef GK_ANDI
-#undef GK_ORI
-#undef GK_XORI
-#undef GK_ADDI
-#undef GK_SUBI
-#undef GK_SHRI
-#undef GK_SHLI
-#undef GK_CMPGT
-#undef GK_SEL
-
-void
-gaussianPairs(const std::uint64_t *words, double *z, std::size_t pairs)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= pairs; i += 2) {
-        // a = {p0.w0, p0.w1}, b = {p1.w0, p1.w1}; unpack deinterleaves
-        // into w0 = {p0.w0, p1.w0}, w1 = {p0.w1, p1.w1}.
-        const __m128i a = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(words + 2 * i));
-        const __m128i b = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(words + 2 * i + 2));
-        __m128d z0, z1;
-        gkGaussPair(_mm_unpacklo_epi64(a, b), _mm_unpackhi_epi64(a, b),
-                    &z0, &z1);
-        _mm_storeu_pd(z + 2 * i, _mm_unpacklo_pd(z0, z1));
-        _mm_storeu_pd(z + 2 * i + 2, _mm_unpackhi_pd(z0, z1));
-    }
-    if (i < pairs)
-        scalar::gaussianPairs(words + 2 * i, z + 2 * i, pairs - i);
-}
-
-} // namespace sse2
+#ifdef SMARTCONF_X86
 
 // ----------------------------------------------------------------- avx2
 // 256-bit backend: one register holds all four lanes, and the alias
@@ -553,26 +322,6 @@ reduceMinMax(const double *x, std::size_t n)
     return r;
 }
 
-__attribute__((target("avx2"))) void
-copyBytes(void *dst, const void *src, std::size_t n)
-{
-    auto *d = static_cast<unsigned char *>(dst);
-    const auto *s = static_cast<const unsigned char *>(src);
-    while (n >= 64) {
-        const __m256i a =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(s));
-        const __m256i b = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(s + 32));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(d), a);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(d + 32), b);
-        d += 64;
-        s += 64;
-        n -= 64;
-    }
-    if (n != 0)
-        std::memcpy(d, s, n);
-}
-
 // Gaussian-pair body on 256-bit lanes.  GK_FN carries the target
 // attribute so the include's helpers may use AVX2 instructions.
 #define GK_FN __attribute__((target("avx2"))) static inline
@@ -648,7 +397,7 @@ gaussianPairs(const std::uint64_t *words, double *z, std::size_t pairs)
 
 } // namespace avx2
 
-#endif // SMARTCONF_SIMD_X86
+#endif // SMARTCONF_X86
 
 // ------------------------------------------------------------- dispatch
 
@@ -659,47 +408,31 @@ struct KernelTable
                           std::uint64_t *, std::size_t);
     double (*reduce_sum)(const double *, std::size_t);
     MinMax (*reduce_minmax)(const double *, std::size_t);
-    void (*copy_bytes)(void *, const void *, std::size_t);
     void (*gaussian_pairs)(const std::uint64_t *, double *,
                            std::size_t);
     simd::Isa isa;
 };
 
 constexpr KernelTable kScalarTable = {
-    scalar::rngOutputMap, scalar::aliasResolve, scalar::reduceSum,
-    scalar::reduceMinMax, scalar::copyBytes,  scalar::gaussianPairs,
-    simd::Isa::Scalar,
+    scalar::rngOutputMap, scalar::aliasResolve,  scalar::reduceSum,
+    scalar::reduceMinMax, scalar::gaussianPairs, simd::Isa::Scalar,
 };
 
-#ifdef SMARTCONF_SIMD_X86
-constexpr KernelTable kSse2Table = {
-    sse2::rngOutputMap, sse2::aliasResolve, sse2::reduceSum,
-    sse2::reduceMinMax, sse2::copyBytes,  sse2::gaussianPairs,
-    simd::Isa::Sse2,
-};
+#ifdef SMARTCONF_X86
 constexpr KernelTable kAvx2Table = {
-    avx2::rngOutputMap, avx2::aliasResolve, avx2::reduceSum,
-    avx2::reduceMinMax, avx2::copyBytes,  avx2::gaussianPairs,
-    simd::Isa::Avx2,
+    avx2::rngOutputMap, avx2::aliasResolve,  avx2::reduceSum,
+    avx2::reduceMinMax, avx2::gaussianPairs, simd::Isa::Avx2,
 };
 #endif
 
 const KernelTable *
-tableFor(simd::Isa isa)
+tableFor([[maybe_unused]] simd::Isa isa)
 {
-#ifdef SMARTCONF_SIMD_X86
-    switch (isa) {
-    case simd::Isa::Avx2:
+#ifdef SMARTCONF_X86
+    if (isa == simd::Isa::Avx2)
         return &kAvx2Table;
-    case simd::Isa::Sse2:
-        return &kSse2Table;
-    default:
-        return &kScalarTable;
-    }
-#else
-    (void)isa;
-    return &kScalarTable;
 #endif
+    return &kScalarTable;
 }
 
 /**
@@ -763,9 +496,9 @@ reduceMinMax(const double *x, std::size_t n)
 
 // One body at every dispatch level.  Each lane is its own register-
 // resident chain of xor + 64-bit imul, so the four chains overlap in
-// the multiplier and the loop runs at imul throughput.  Neither SSE2
-// nor AVX2 has a 64-bit lane multiply; the emulated one (two 32x32
-// products plus shifts and adds) ran at half this speed.
+// the multiplier and the loop runs at imul throughput.  AVX2 has no
+// 64-bit lane multiply; the emulated one (two 32x32 products plus
+// shifts and adds) ran at half this speed.
 std::uint64_t
 checksum(const void *data, std::size_t len)
 {
@@ -796,12 +529,6 @@ checksum(const void *data, std::size_t len)
     for (; i < len; ++i)
         h = (h ^ p[i]) * kFnvPrime;
     return h;
-}
-
-void
-copyBytes(void *dst, const void *src, std::size_t n)
-{
-    table().copy_bytes(dst, src, n);
 }
 
 void

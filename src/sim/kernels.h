@@ -5,22 +5,21 @@
  * @file
  * Portable SIMD kernel layer for the data-plane hot loops.
  *
- * PR 6 reshaped the per-event hot paths into batch form precisely so
- * they could be vectorized; this layer supplies the vector bodies.  Each
- * kernel exists in up to three backends (scalar / SSE2 / AVX2) behind a
- * runtime-dispatched function pointer, and the scalar implementation is
- * the *canonical definition* of the kernel's output:
+ * The per-event hot paths run in batch form so they can be vectorized;
+ * this layer supplies the vector bodies.  Each kernel exists in two
+ * backends (scalar / AVX2) behind a runtime-dispatched function
+ * pointer, and the scalar implementation is the *canonical definition*
+ * of the kernel's output:
  *
- *  - Integer kernels (PRNG output map, alias-table resolution, byte
- *    copies) are bit-identical across backends, period.  The checksum
- *    has one scalar body for every level (see checksum()).
+ *  - Integer kernels (PRNG output map, alias-table resolution) are
+ *    bit-identical across backends, period.  The checksum has one
+ *    scalar body for every level (see checksum()).
  *  - Floating-point reductions are made bit-identical by pinning one
  *    accumulation order — four virtual lanes, element i feeding lane
  *    i % 4, combined as (L0 op L2) op (L1 op L3), tail elements folded
- *    serially afterwards — which every backend, including the scalar
- *    reference, implements literally.  256-bit registers hold lanes
- *    {0,1,2,3}; the SSE2 backend holds {0,1} and {2,3} in two
- *    registers; the scalar backend keeps four named accumulators.
+ *    serially afterwards — which both backends implement literally.
+ *    The 256-bit register holds lanes {0,1,2,3}; the scalar backend
+ *    keeps four named accumulators.
  *
  * Dispatch is process-wide and resolved on first use from
  * SMARTCONF_ISA / CPUID (see sim/simd.h); setIsa() re-points it for
@@ -54,7 +53,7 @@ void rngOutputMap(std::uint64_t *words, std::size_t n);
  *   slot  = ((w >> 32) * n_slots) >> 32
  *   entry = entries[slot]
  *   out   = low32(w) < high32(entry) ? slot : low32(entry)
- * The AVX2 backend gathers four entries per step; all backends are
+ * The AVX2 backend gathers four entries per step; both backends are
  * bit-identical (pure integer math).
  */
 void aliasResolve(const std::uint64_t *entries, std::uint64_t n_slots,
@@ -95,17 +94,11 @@ MinMax reduceMinMax(const double *x, std::size_t n);
  * four lanes are four independent xor + 64-bit imul chains, which an
  * out-of-order core overlaps, so the loop runs at multiply throughput
  * (~8 bytes per cycle) rather than multiply latency.  One scalar body
- * serves every dispatch level — SSE2/AVX2 have no 64-bit lane multiply
- * to do better with.  NOT the same value as the old word-serial
+ * serves every dispatch level — AVX2 has no 64-bit lane multiply to do
+ * better with.  NOT the same value as the old word-serial
  * checksum64, which is why DiskRunCache's format version moved.
  */
 std::uint64_t checksum(const void *data, std::size_t len);
-
-/**
- * memcpy with explicitly widened vector loads/stores on the SIMD
- * backends (two registers per step).  Ranges must not overlap.
- */
-void copyBytes(void *dst, const void *src, std::size_t n);
 
 /**
  * Box-Muller: 2*pairs raw PRNG words -> 2*pairs standard normals.

@@ -221,12 +221,6 @@ ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta)
     zetan_ = table_->weightSum();
 }
 
-std::size_t
-ZipfianGenerator::zetaCacheSize()
-{
-    return AliasTable::zipfCacheSize();
-}
-
 std::uint64_t
 ZipfianGenerator::sample(Rng &rng) const
 {

@@ -197,13 +197,6 @@ class ZipfianGenerator
     void sampleBatch(Rng &rng, std::uint64_t *out,
                      std::size_t count) const;
 
-    /** Alias kept from the pre-kernel batch API; see sampleBatch(). */
-    void sampleInto(Rng &rng, std::uint64_t *out,
-                    std::size_t count) const
-    {
-        sampleBatch(rng, out, count);
-    }
-
     std::uint64_t population() const { return n_; }
 
     /** zeta(n, theta), the pmf normalizer (= the table's weight sum). */
@@ -211,9 +204,6 @@ class ZipfianGenerator
 
     /** Exact probability of rank @p i under this distribution. */
     double pmf(std::uint64_t i) const;
-
-    /** Memoized alias tables held process-wide (test/diagnostic hook). */
-    static std::size_t zetaCacheSize();
 
   private:
     std::uint64_t n_;

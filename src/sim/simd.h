@@ -6,19 +6,18 @@
  * ISA levels for the data-plane kernel layer (see sim/kernels.h).
  *
  * The kernels ship one scalar reference implementation (the canonical
- * definition of every kernel's output) plus optional SSE2/AVX2 backends
- * selected at runtime.  This header only names the levels and the
- * detection/override surface; all implementation — including the
- * compile-time gate (`-DSMARTCONF_SIMD=OFF` builds scalar-only) — lives
- * in kernels.cc, so no other translation unit's code generation depends
+ * definition of every kernel's output) plus an AVX2 backend selected at
+ * runtime on x86 hosts that have it.  This header only names the levels
+ * and the detection/override surface; all implementation lives in
+ * kernels.cc, so no other translation unit's code generation depends
  * on the target ISA.
  *
  * Level selection, in priority order:
  *   1. kernels::setIsa() — explicit (tests iterate every level);
- *   2. SMARTCONF_ISA=scalar|sse2|avx2 in the environment, read once at
- *      first kernel use (forcing a level the host or build cannot run
- *      clamps down to the best available one);
- *   3. CPUID detection, clamped to what the build enabled.
+ *   2. SMARTCONF_ISA=scalar|avx2 in the environment, read once at
+ *      first kernel use (forcing a level the host cannot run clamps
+ *      down to the best available one; any other value is ignored);
+ *   3. CPUID detection.
  */
 
 #include <string_view>
@@ -29,11 +28,10 @@ namespace smartconf::sim::simd {
 enum class Isa
 {
     Scalar = 0, ///< portable reference (always available)
-    Sse2 = 1,   ///< 128-bit lanes (baseline on x86-64)
-    Avx2 = 2,   ///< 256-bit lanes + gathers
+    Avx2 = 1,   ///< 256-bit lanes + gathers
 };
 
-/** Lower-case level name ("scalar", "sse2", "avx2"). */
+/** Lower-case level name ("scalar", "avx2"). */
 const char *name(Isa isa);
 
 /**
@@ -43,17 +41,13 @@ const char *name(Isa isa);
 bool parse(std::string_view text, Isa &out);
 
 /**
- * Best level this process can actually execute: CPUID capability
- * clamped to what the build compiled in (Scalar when the backends were
- * compiled out via -DSMARTCONF_SIMD=OFF or on non-x86 targets).
+ * Best level this process can actually execute: Avx2 when CPUID
+ * reports it on an x86 target, Scalar otherwise.
  */
 Isa detected();
 
 /** True when @p isa is at or below detected(). */
 bool supported(Isa isa);
-
-/** True when the SSE2/AVX2 backends were compiled into this build. */
-bool compiledIn();
 
 } // namespace smartconf::sim::simd
 

@@ -17,6 +17,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/** Shards a segment name can carry: two hex digits. */
+constexpr std::size_t kMaxShards = 256;
+
 /** seg-<shard 2hex>-<seq 16hex>-<pid hex>.seg */
 std::string
 segmentName(std::uint32_t shard, std::uint64_t seq)
@@ -72,9 +75,10 @@ SegmentStore::SegmentStore(std::string dir)
 SegmentStore::SegmentStore(std::string dir, Options opts)
     : dir_(std::move(dir)), opts_(opts)
 {
-    // Shard count must be a power of two so `hash & (n-1)` partitions.
+    // Shard count must be a power of two so `hash & (n-1)` partitions,
+    // and at most kMaxShards so every shard's segments parse back.
     std::size_t n = 1;
-    while (n < opts_.shard_count && n < 4096)
+    while (n < opts_.shard_count && n < kMaxShards)
         n <<= 1;
     opts_.shard_count = n;
     shards_.reserve(n);

@@ -137,7 +137,7 @@ class SegmentStore
   public:
     struct Options
     {
-        std::size_t shard_count = 16; ///< power of two
+        std::size_t shard_count = 16; ///< power of two (rounded up), <= 256
         std::size_t flush_entries = 256; ///< per-shard seal threshold
         std::size_t flush_bytes = 4u << 20;
         bool auto_compact = true; ///< background thread

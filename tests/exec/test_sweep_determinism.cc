@@ -314,4 +314,22 @@ TEST(SweepArgsParsing, JobsAndJsonFlags)
     EXPECT_EQ(c.sweep.jobs, 0u); // 0 = hardware concurrency
 }
 
+TEST(SweepArgsParsing, JobsAboveTheCapExitWithUsage)
+{
+    // Parsing builds no pool, so these start no threads; each value
+    // would otherwise become one helper thread per extra runner.
+    const char *argv_max[] = {"bench", "--jobs", "1024"};
+    EXPECT_EQ(smartconf::exec::parseSweepArgs(
+                  3, const_cast<char **>(argv_max))
+                  .sweep.jobs,
+              1024u);
+    for (const char *v : {"1025", "100000", "99999999999999999999"}) {
+        const char *argv[] = {"bench", "--jobs", v};
+        EXPECT_EXIT(smartconf::exec::parseSweepArgs(
+                        3, const_cast<char **>(argv)),
+                    ::testing::ExitedWithCode(2), "invalid --jobs value")
+            << v;
+    }
+}
+
 } // namespace

@@ -130,7 +130,7 @@ TEST_P(AliasSamplerGof, MatchesZipfPmf)
     ZipfianGenerator zipf(n, theta);
     Rng rng(0x5eed0001);
     std::vector<std::uint64_t> samples(draws);
-    zipf.sampleInto(rng, samples.data(), samples.size());
+    zipf.sampleBatch(rng, samples.data(), samples.size());
 
     std::vector<Bin> bins =
         makeBins(zipf, static_cast<double>(draws), 5.0);
@@ -176,12 +176,12 @@ TEST(AliasSampler, OneNextWordPerDraw)
     EXPECT_EQ(a.next(), b.next());
 }
 
-TEST(AliasSampler, SampleIntoMatchesRepeatedSample)
+TEST(AliasSampler, SampleBatchMatchesRepeatedSample)
 {
     ZipfianGenerator zipf(5000, 0.5);
     Rng a(123), b(123);
     std::vector<std::uint64_t> batch(2048);
-    zipf.sampleInto(a, batch.data(), batch.size());
+    zipf.sampleBatch(a, batch.data(), batch.size());
     for (const std::uint64_t expected : batch)
         EXPECT_EQ(zipf.sample(b), expected);
 }

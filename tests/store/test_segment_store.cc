@@ -135,6 +135,31 @@ TEST_F(SegmentStoreTest, FreshInstanceSeesPublishedSegments)
     }
 }
 
+TEST_F(SegmentStoreTest, ShardCountAboveTheNameWidthKeepsSegmentsVisible)
+{
+    // Segment names carry the shard as two hex digits.  Asked for 512
+    // shards, the store must still publish only names a fresh instance
+    // parses back: take a key that a 512-way split puts in shard >= 256.
+    SegmentStore::Options o = quiet();
+    o.shard_count = 512;
+    std::string key;
+    for (int i = 0; key.empty(); ++i)
+        if ((fnv1a64("k" + std::to_string(i)) & 511) >= 256)
+            key = "k" + std::to_string(i);
+    {
+        SegmentStore w(dir_, o);
+        EXPECT_LE(w.shardCount(), 256u);
+        ASSERT_TRUE(putStr(w, key, "far-shard"));
+        ASSERT_TRUE(w.flush());
+    }
+    SegmentStore r(dir_, o);
+    std::vector<char> out;
+    ASSERT_TRUE(r.get(key, out)) << key;
+    EXPECT_EQ(std::string(out.begin(), out.end()), "far-shard");
+    EXPECT_EQ(r.segmentCount(), 1u);
+    EXPECT_TRUE(r.verify().clean());
+}
+
 TEST_F(SegmentStoreTest, RescanPicksUpSegmentsPublishedByAPeer)
 {
     SegmentStore reader(dir_, quiet());

@@ -22,6 +22,7 @@
  * sweep bench.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,27 +38,45 @@
 
 namespace {
 
+/** `--tenants N[,M...]`: every count a whole integer from 1 to 2^32-1. */
 std::vector<std::uint32_t>
 parseTenantList(const char *arg)
 {
     std::vector<std::uint32_t> out;
-    const char *p = arg;
-    while (*p) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(p, &end, 10);
-        if (end == p || v == 0) {
-            std::fprintf(stderr,
-                         "bench_fleet: bad --tenants list '%s'\n", arg);
-            std::exit(2);
-        }
-        out.push_back(static_cast<std::uint32_t>(v));
-        p = *end == ',' ? end + 1 : end;
+    const std::string list = arg;
+    std::size_t begin = 0;
+    for (;;) {
+        const std::size_t comma = list.find(',', begin);
+        const std::string item = list.substr(begin, comma - begin);
+        const std::uint64_t n = smartconf::exec::parseIntFlag(
+            "--tenants", item.c_str(), 1, UINT32_MAX);
+        out.push_back(static_cast<std::uint32_t>(n));
+        if (comma == std::string::npos)
+            return out;
+        begin = comma + 1;
     }
-    if (out.empty()) {
-        std::fprintf(stderr, "bench_fleet: empty --tenants list\n");
+}
+
+/**
+ * The value of `--name V` / `--name=V` when argv[i] is that flag
+ * (advancing @p i past a separate value), else nullptr.  A flag with
+ * no value exits with status 2.
+ */
+const char *
+flagValue(int argc, char **argv, int &i, const char *flag)
+{
+    const std::size_t len = std::strlen(flag);
+    if (std::strncmp(argv[i], flag, len) != 0)
+        return nullptr;
+    if (argv[i][len] == '=')
+        return argv[i] + len + 1;
+    if (argv[i][len] != '\0')
+        return nullptr;
+    if (i + 1 >= argc) {
+        std::fprintf(stderr, "bench_fleet: %s needs a value\n", flag);
         std::exit(2);
     }
-    return out;
+    return argv[++i];
 }
 
 } // namespace
@@ -72,42 +91,13 @@ main(int argc, char **argv)
     std::vector<std::uint32_t> tenant_counts = {1000, 10000};
     fleet::FleetParams base;
     for (int i = 1; i < argc; ++i) {
-        const auto intArg = [&](const char *flag,
-                                const char *name) -> long {
-            const char *v = argv[i] + std::strlen(flag);
-            if (*v == '=') {
-                ++v;
-            } else if (i + 1 < argc) {
-                v = argv[++i];
-            } else {
-                std::fprintf(stderr, "bench_fleet: %s needs a value\n",
-                             name);
-                std::exit(2);
-            }
-            return std::atol(v);
-        };
-        if (std::strncmp(argv[i], "--tenants", 9) == 0 &&
-            (argv[i][9] == '\0' || argv[i][9] == '=')) {
-            const char *v = argv[i] + 9;
-            if (*v == '=') {
-                ++v;
-            } else if (i + 1 < argc) {
-                v = argv[++i];
-            } else {
-                std::fprintf(stderr,
-                             "bench_fleet: --tenants needs a value\n");
-                return 2;
-            }
+        if (const char *v = flagValue(argc, argv, i, "--tenants"))
             tenant_counts = parseTenantList(v);
-        } else if (std::strncmp(argv[i], "--ticks", 7) == 0 &&
-                   (argv[i][7] == '\0' || argv[i][7] == '=')) {
-            base.ticks =
-                static_cast<sim::Tick>(intArg("--ticks", "--ticks"));
-        } else if (std::strncmp(argv[i], "--seed", 6) == 0 &&
-                   (argv[i][6] == '\0' || argv[i][6] == '=')) {
-            base.seed =
-                static_cast<std::uint64_t>(intArg("--seed", "--seed"));
-        }
+        else if (const char *v = flagValue(argc, argv, i, "--ticks"))
+            base.ticks = static_cast<sim::Tick>(
+                exec::parseIntFlag("--ticks", v, 1, INT64_MAX));
+        else if (const char *v = flagValue(argc, argv, i, "--seed"))
+            base.seed = exec::parseIntFlag("--seed", v, 0, UINT64_MAX);
     }
 
     // Resolve the executor exactly like SweepRunner: 0 = hardware

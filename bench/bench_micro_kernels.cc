@@ -6,8 +6,8 @@
  * regression gate can hold on to (`bench_micro_kernels --json`, floors
  * recorded in BENCH_kernels.json via bench/check_regression --update).
  *
- * "Element" is one uint64 word for the RNG/alias kernels, one double
- * for the reductions, and one byte for the checksum.  Batch sizes use
+ * "Element" is one uint64 word for the RNG/alias kernels, one normal
+ * for the gaussian draw, and one byte for the checksum.  Batch sizes use
  * a hot size (4096) large enough that dispatch overhead amortizes out
  * — the point is kernel body throughput, not call cost (bench_sweep
  * carries the end-to-end number).
@@ -67,7 +67,7 @@ struct Row
     double scalar_ns = 0.0;
 };
 
-/** volatile sink so reductions/checksums cannot be optimized away. */
+/** volatile sink so checksums cannot be optimized away. */
 volatile std::uint64_t g_sink;
 
 } // namespace
@@ -84,21 +84,21 @@ main(int argc, char **argv)
     // L1/L2, which is how the hot loops use them (scratch buffers).
     std::vector<std::uint64_t> words(kWords);
     std::vector<std::uint64_t> scratch(kWords);
-    std::vector<double> doubles(kWords);
+    std::vector<double> normals(kWords);
     std::vector<unsigned char> bytes(kBytes);
     Rng seedr(0xbe7c4);
     for (auto &w : words)
         w = seedr.next();
-    for (auto &d : doubles)
-        d = seedr.uniform(-1e6, 1e6);
     for (auto &b : bytes)
         b = static_cast<unsigned char>(seedr.next());
     const auto table = AliasTable::zipfian(100000, 0.99);
     Rng rng(1);
 
     Row rows[] = {
-        {"rng_fill"},      {"alias_sample"}, {"reduce_sum"},
-        {"reduce_minmax"}, {"checksum"},     {"gaussian"},
+        {"rng_fill"},
+        {"alias_sample"},
+        {"checksum"},
+        {"gaussian"},
     };
     const auto run_all = [&](bool scalar) {
         const auto set = [&](Row &row, double v) {
@@ -112,22 +112,13 @@ main(int argc, char **argv)
         set(rows[1], nsPerElement(kWords, 400, [&] {
                 table->sampleBatch(rng, scratch.data(), kWords);
             }));
-        set(rows[2], nsPerElement(kWords, 400, [&] {
-                g_sink = static_cast<std::uint64_t>(
-                    kernels::reduceSum(doubles.data(), kWords));
-            }));
-        set(rows[3], nsPerElement(kWords, 400, [&] {
-                const kernels::MinMax m =
-                    kernels::reduceMinMax(doubles.data(), kWords);
-                g_sink = static_cast<std::uint64_t>(m.min + m.max);
-            }));
-        set(rows[4], nsPerElement(kBytes, 100, [&] {
+        set(rows[2], nsPerElement(kBytes, 100, [&] {
                 g_sink = kernels::checksum(bytes.data(), kBytes);
             }));
         // End-to-end normal draw (fillRaw + polynomial Box-Muller),
         // the YCSB size-jitter path; element = one normal.
-        set(rows[5], nsPerElement(kWords, 400, [&] {
-                rng.gaussianBatch(0.0, 1.0, doubles.data(), kWords);
+        set(rows[3], nsPerElement(kWords, 400, [&] {
+                rng.gaussianBatch(0.0, 1.0, normals.data(), kWords);
             }));
     };
 

@@ -12,6 +12,7 @@
  *
  * `--entries N` (or BENCH_STORE_ENTRIES) scales the fill; N=0 prints a
  * skipped-run JSON so gates can distinguish "skipped" from "broken".
+ * Any N that is not a whole non-negative integer exits with status 2.
  * `--dir PATH` overrides the store root (default: a fresh directory
  * under the system temp dir, removed afterwards).
  */
@@ -19,6 +20,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "exec/disk_cache.h"
+#include "exec/sweep.h"
 #include "scenarios/scenario.h"
 #include "sim/metrics.h"
 #include "store/query.h"
@@ -78,19 +81,21 @@ int
 main(int argc, char **argv)
 {
     using smartconf::exec::DiskRunCache;
+    using smartconf::exec::parseIntFlag;
 
     std::uint64_t entries = 50000;
     if (const char *env = std::getenv("BENCH_STORE_ENTRIES"))
-        entries = std::strtoull(env, nullptr, 10);
+        entries = parseIntFlag("BENCH_STORE_ENTRIES", env, 0, UINT64_MAX);
     std::string root;
     bool json = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--json") == 0)
             json = true;
         else if (std::strcmp(argv[i], "--entries") == 0 && i + 1 < argc)
-            entries = std::strtoull(argv[++i], nullptr, 10);
+            entries = parseIntFlag("--entries", argv[++i], 0, UINT64_MAX);
         else if (std::strncmp(argv[i], "--entries=", 10) == 0)
-            entries = std::strtoull(argv[i] + 10, nullptr, 10);
+            entries = parseIntFlag("--entries", argv[i] + 10, 0,
+                                   UINT64_MAX);
         else if (std::strcmp(argv[i], "--dir") == 0 && i + 1 < argc)
             root = argv[++i];
         else if (std::strncmp(argv[i], "--dir=", 6) == 0)

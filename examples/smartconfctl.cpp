@@ -38,6 +38,7 @@
  */
 
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -47,6 +48,7 @@
 #include "core/profiler.h"
 #include "core/sysfile.h"
 #include "exec/disk_cache.h"
+#include "exec/sweep.h"
 #include "store/query.h"
 #include "store/segment_store.h"
 
@@ -193,9 +195,11 @@ parseStoreArgs(int argc, char **argv, int first)
         else if (const char *v = want("--chaos"))
             a.filter.chaos_substr = v;
         else if (const char *v = want("--seed-min"))
-            a.filter.seed_min = std::strtoull(v, nullptr, 10);
+            a.filter.seed_min =
+                exec::parseIntFlag("--seed-min", v, 0, UINT64_MAX);
         else if (const char *v = want("--seed-max"))
-            a.filter.seed_max = std::strtoull(v, nullptr, 10);
+            a.filter.seed_max =
+                exec::parseIntFlag("--seed-max", v, 0, UINT64_MAX);
         else if (std::strcmp(argv[i], "--count") == 0)
             a.count_only = true;
         else if (a.ok) {

@@ -9,97 +9,36 @@ Namenode::Namenode(const NamenodeParams &params,
                    std::uint64_t summary_limit)
     : params_(params), summary_limit_(std::max<std::uint64_t>(1,
                                                               summary_limit))
-{
-    tree_.makeDirs(params_.du_root);
-}
-
-void
-Namenode::submit(const workload::DfsRequest &req, sim::Tick now)
-{
-    switch (req.type) {
-      case workload::DfsRequest::Type::WriteFile: {
-        // Namespace mutation: queue behind the global lock.
-        if (!pending_writes_.empty() &&
-            pending_writes_.back().arrived == now) {
-            ++pending_writes_.back().count;
-        } else {
-            pending_writes_.push_back({now, 1});
-        }
-        ++pending_count_;
-        if (req.client >= client_dirs_.size())
-            client_dirs_.resize(req.client + 1);
-        NamespaceTree::DirRef &dir = client_dirs_[req.client];
-        if (!dir)
-            dir = tree_.dirRef(params_.du_root + "/client" +
-                               std::to_string(req.client));
-        tree_.addFilesAt(dir);
-        break;
-      }
-      case workload::DfsRequest::Type::ContentSummary: {
-        if (du_.has_value())
-            break; // one admin du at a time; extra commands are dropped
-        DuJob job;
-        job.total = req.file_count > 0
-                        ? req.file_count
-                        : tree_.filesUnder(params_.du_root);
-        job.remaining = job.total;
-        job.submitted = now;
-        job.holds_lock = true; // acquires the lock on arrival
-        job.acquired_at = now;
-        job.chunk_done = 0.0;
-        du_ = job;
-        break;
-      }
-    }
-}
+{}
 
 void
 Namenode::submitAll(const std::vector<workload::DfsRequest> &reqs,
                     sim::Tick now)
 {
     std::uint64_t writes = 0;
-    const auto flush = [&] {
-        if (writes == 0)
-            return;
-        if (!pending_writes_.empty() &&
-            pending_writes_.back().arrived == now) {
-            pending_writes_.back().count += writes;
-        } else {
-            pending_writes_.push_back({now, writes});
-        }
-        pending_count_ += writes;
-        // Clients are visited in first-appearance order, so directory
-        // creation (and segment interning) happens in the same order as
-        // the request-by-request path would produce.
-        for (const std::uint32_t client : batch_clients_) {
-            NamespaceTree::DirRef &dir = client_dirs_[client];
-            if (!dir)
-                dir = tree_.dirRef(params_.du_root + "/client" +
-                                   std::to_string(client));
-            tree_.addFilesAt(dir, batch_counts_[client]);
-            batch_counts_[client] = 0;
-        }
-        batch_clients_.clear();
-        writes = 0;
-    };
     for (const auto &req : reqs) {
         if (req.type == workload::DfsRequest::Type::WriteFile) {
-            if (req.client >= client_dirs_.size())
-                client_dirs_.resize(req.client + 1);
-            if (req.client >= batch_counts_.size())
-                batch_counts_.resize(req.client + 1, 0);
-            if (batch_counts_[req.client]++ == 0)
-                batch_clients_.push_back(
-                    static_cast<std::uint32_t>(req.client));
             ++writes;
-        } else {
-            // A du snapshots the namespace on arrival: apply the
-            // writes accumulated so far before it sees the tree.
-            flush();
-            submit(req, now);
+        } else if (!du_) {
+            // A du takes the lock on arrival; while it runs, further
+            // du commands are dropped.
+            DuJob job;
+            job.total = req.file_count;
+            job.remaining = req.file_count;
+            job.submitted = now;
+            job.holds_lock = true;
+            job.acquired_at = now;
+            du_ = job;
         }
     }
-    flush();
+    if (writes == 0)
+        return;
+    // Namespace mutations queue behind the global lock.
+    if (!pending_writes_.empty() && pending_writes_.back().arrived == now)
+        pending_writes_.back().count += writes;
+    else
+        pending_writes_.push_back({now, writes});
+    pending_count_ += writes;
 }
 
 void
@@ -162,7 +101,6 @@ Namenode::step(sim::Tick now)
         PendingBatch &batch = pending_writes_.front();
         const std::uint64_t served = std::min(budget, batch.count);
         const double wait = static_cast<double>(now - batch.arrived);
-        write_waits_.record(wait, static_cast<std::size_t>(served));
         recent_max_wait_ = std::max(recent_max_wait_, wait);
         served_writes_ += served;
         pending_count_ -= served;

@@ -20,16 +20,19 @@
  * The configuration is an *indirect* PerfConf: the controlled deputy is
  * the per-chunk lock-hold time; the transducer multiplies by the
  * traversal rate to get the file-count limit.
+ *
+ * The namespace itself is not modelled.  A du carries the size of the
+ * subtree it summarises (DfsRequest::file_count), and a write is only
+ * a unit of lock demand: the namenode tracks the lock, the blocked
+ * writes and the running du, which is all the HD4995 controller sees.
  */
 
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <string>
+#include <vector>
 
-#include "dfs/namespace_tree.h"
 #include "sim/clock.h"
-#include "sim/metrics.h"
 #include "workload/dfsio.h"
 
 namespace smartconf::dfs {
@@ -40,7 +43,6 @@ struct NamenodeParams
     double traversal_files_per_tick = 20000.0; ///< du walk speed
     double yield_overhead_ticks = 1.0; ///< lock release/reacquire cost
     double write_service_per_tick = 60.0; ///< writes served when unlocked
-    std::string du_root = "/data";     ///< subtree du summarizes
 };
 
 /** Outcome of one completed du command. */
@@ -59,15 +61,11 @@ class Namenode
   public:
     Namenode(const NamenodeParams &params, std::uint64_t summary_limit);
 
-    /** Submit one client request at @p now. */
-    void submit(const workload::DfsRequest &req, sim::Tick now);
-
     /**
-     * Submit a whole tick's worth of requests at @p now.  Equivalent to
-     * calling submit() per element in order, but write bookkeeping is
-     * amortized: the pending-queue batch and the per-client namespace
-     * counters are each updated once per tick instead of once per
-     * request.
+     * Submit the requests arriving at @p now.  The writes join the
+     * blocked-write queue as one batch; a du starts summarising its
+     * request's file_count at once, unless another du is still running
+     * (one admin du at a time: the extra command is dropped).
      */
     void submitAll(const std::vector<workload::DfsRequest> &reqs,
                    sim::Tick now);
@@ -78,9 +76,6 @@ class Namenode
     /** Adjust `content-summary.limit` (SmartConf-controlled). */
     void setSummaryLimit(std::uint64_t files);
     std::uint64_t summaryLimit() const { return summary_limit_; }
-
-    /** Worst-case write wait observed so far (ticks). */
-    const sim::Histogram &writeWaits() const { return write_waits_; }
 
     /**
      * Worst write wait observed since the previous call; resets the
@@ -111,9 +106,6 @@ class Namenode
     /** Total client writes served. */
     std::uint64_t servedWrites() const { return served_writes_; }
 
-    NamespaceTree &tree() { return tree_; }
-    const NamespaceTree &tree() const { return tree_; }
-
   private:
     struct DuJob
     {
@@ -129,23 +121,6 @@ class Namenode
 
     NamenodeParams params_;
     std::uint64_t summary_limit_;
-    NamespaceTree tree_;
-
-    /**
-     * Per-client directory handles ("/data/clientN"), resolved once.
-     * Client writes are the namenode's hottest path (millions per run);
-     * caching the handle turns each one into a pointer bump instead of
-     * a string build plus a path resolution.
-     */
-    std::vector<NamespaceTree::DirRef> client_dirs_;
-
-    /**
-     * submitAll scratch: per-client write counts for the current batch
-     * plus the list of clients actually touched (so resetting the
-     * counts costs O(touched), not O(clients)).
-     */
-    std::vector<std::uint64_t> batch_counts_;
-    std::vector<std::uint32_t> batch_clients_;
 
     /**
      * Blocked client writes, run-length encoded by arrival tick.  All
@@ -162,7 +137,6 @@ class Namenode
     std::deque<PendingBatch> pending_writes_;
     std::uint64_t pending_count_ = 0; ///< total writes across batches
     std::optional<DuJob> du_;
-    sim::Histogram write_waits_;
     std::vector<DuResult> du_results_;
     double last_hold_ticks_ = 0.0;
     double recent_max_wait_ = 0.0;

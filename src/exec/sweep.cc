@@ -1,6 +1,9 @@
 #include "exec/sweep.h"
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -104,26 +107,36 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
     return results;
 }
 
+std::uint64_t
+parseIntFlag(const char *flag, const char *text, std::uint64_t lo,
+             std::uint64_t hi)
+{
+    // strtoull skips leading blanks and negates a leading '-', so the
+    // text must start with a digit; ERANGE flags a value past 2^64 - 1.
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE || v < lo || v > hi) {
+        std::fprintf(stderr,
+                     "invalid %s value '%s' (want an integer from "
+                     "%" PRIu64 " to %" PRIu64 ")\n",
+                     flag, text, lo, hi);
+        std::exit(2);
+    }
+    return v;
+}
+
 SweepArgs
 parseSweepArgs(int argc, char **argv,
                const std::string &default_cache_dir)
 {
+    constexpr std::uint64_t kMaxJobs = 1024;
     SweepArgs args;
     args.sweep.disk_cache_dir = default_cache_dir;
     auto parseJobs = [&](const char *text) {
-        constexpr long kMaxJobs = 1024;
-        char *end = nullptr;
-        // strtol saturates out-of-range text to LONG_MAX, which the
-        // upper bound then rejects.
-        const long v = std::strtol(text, &end, 10);
-        if (end == text || *end != '\0' || v < 1 || v > kMaxJobs) {
-            std::fprintf(stderr,
-                         "invalid --jobs value '%s' (want an integer "
-                         "from 1 to %ld)\n",
-                         text, kMaxJobs);
-            std::exit(2);
-        }
-        args.sweep.jobs = static_cast<std::size_t>(v);
+        args.sweep.jobs = static_cast<std::size_t>(
+            parseIntFlag("--jobs", text, 1, kMaxJobs));
     };
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];

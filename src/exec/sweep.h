@@ -135,12 +135,24 @@ struct SweepArgs
 };
 
 /**
+ * Read @p text as the value of the numeric command-line flag @p flag:
+ * the whole string must be a decimal integer from @p lo to @p hi.
+ * Anything else (empty text, a sign, blanks, trailing characters, a
+ * value out of range) prints "invalid <flag> value '<text>' (want an
+ * integer from <lo> to <hi>)" to stderr and exits with status 2.  The
+ * one parser for every numeric flag of the bench harnesses and
+ * smartconfctl.
+ */
+std::uint64_t parseIntFlag(const char *flag, const char *text,
+                           std::uint64_t lo, std::uint64_t hi);
+
+/**
  * Parse `--jobs N` (also `--jobs=N`, `-j N`), `--json`,
  * `--cache-dir PATH` (also `--cache-dir=PATH`) and `--no-disk-cache`
  * from a bench harness's argv; unknown arguments are ignored.  Exits
- * with status 2 and a usage message on a --jobs value that is not an
- * integer from 1 to 1024 (each runner past the first is a helper
- * thread).
+ * with status 2 and a usage message (parseIntFlag) on a --jobs value
+ * that is not an integer from 1 to 1024 (each runner past the first is
+ * a helper thread).
  *
  * @p default_cache_dir seeds SweepOptions::disk_cache_dir before the
  * flags are applied: harnesses that want the persistent store by

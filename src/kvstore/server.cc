@@ -41,6 +41,7 @@ KvServer::accept(const std::vector<workload::Op> &ops, sim::Tick now)
 void
 KvServer::step(sim::Tick now)
 {
+    step_delays_.clear();
     if (crashed())
         return;
 
@@ -66,7 +67,6 @@ KvServer::step(sim::Tick now)
         std::max(0.0, std::round(rng_.gaussian(
                           params_.service_ops_per_tick,
                           params_.service_ops_per_tick * 0.1))));
-    delay_batch_.clear();
     while (budget > 0 && request_queue_.front() != nullptr) {
         const RpcItem *item = request_queue_.front();
         const double response_mb =
@@ -77,7 +77,7 @@ KvServer::step(sim::Tick now)
         const bool delivered = response_queue_.offer(response_mb);
         const RpcItem done = request_queue_.pop();
         if (delivered) {
-            delay_batch_.push_back(
+            step_delays_.push_back(
                 static_cast<double>(now - done.enqueued));
             ++completed_;
         } else {
@@ -85,10 +85,6 @@ KvServer::step(sim::Tick now)
         }
         --budget;
     }
-    // One bulk histogram insert per tick; same sequence as per-op
-    // record() calls.
-    queue_delays_.recordBatch(delay_batch_.data(), delay_batch_.size());
-
     // 4. Network drains responses.
     response_queue_.drain(params_.network_mb_per_tick);
 

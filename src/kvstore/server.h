@@ -28,7 +28,6 @@
 #include "kvstore/heap.h"
 #include "kvstore/rpc_queue.h"
 #include "sim/clock.h"
-#include "sim/metrics.h"
 #include "sim/rng.h"
 #include "workload/ycsb.h"
 
@@ -89,8 +88,15 @@ class KvServer
     /** Reads whose response was dropped (response queue overflow). */
     std::uint64_t droppedResponses() const { return dropped_responses_; }
 
-    /** Queueing delay distribution (ticks). */
-    const sim::Histogram &queueDelays() const { return queue_delays_; }
+    /**
+     * Queueing delays (ticks) of the operations the last step()
+     * completed, in completion order.  Holds one step's worth; the
+     * next step() replaces it.
+     */
+    const std::vector<double> &lastStepDelays() const
+    {
+        return step_delays_;
+    }
 
     const KvServerParams &params() const { return params_; }
 
@@ -104,7 +110,6 @@ class KvServer
     std::uint64_t completed_ = 0;
     std::uint64_t timed_out_ = 0;
     std::uint64_t dropped_responses_ = 0;
-    sim::Histogram queue_delays_;
 
     /** Heap gauges the server republishes every tick, slot-resolved
      *  once here instead of name-scanned per update. */
@@ -112,9 +117,8 @@ class KvServer
     JvmHeap::Slot request_slot_;
     JvmHeap::Slot response_slot_;
 
-    /** Per-tick queueing delays, flushed to queue_delays_ in one
-     *  batch (same recorded sequence as the per-op path). */
-    std::vector<double> delay_batch_;
+    /** lastStepDelays(); the buffer is reused across steps. */
+    std::vector<double> step_delays_;
 };
 
 } // namespace smartconf::kvstore

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/kernels.h"
-
 namespace smartconf::mapreduce {
 
 MrCluster::MrCluster(const ClusterParams &params,
@@ -24,7 +22,6 @@ MrCluster::MrCluster(const ClusterParams &params,
         w.rng = walker;
         w.other_mb = params_.other_base_mb;
     }
-    disk_scratch_.resize(workers_.size());
 }
 
 void
@@ -64,31 +61,23 @@ MrCluster::diskUsed(const Worker &w) const
 double
 MrCluster::maxDiskUsedMb() const
 {
-    // Sensor reduction over the per-worker shard states, merged in
-    // pinned order by the kernel layer (order-insensitive for max, but
-    // keeps every sensor on the same reduction path).
-    for (std::size_t i = 0; i < workers_.size(); ++i)
-        disk_scratch_[i] = diskUsed(workers_[i]);
-    const auto mm =
-        sim::kernels::reduceMinMax(disk_scratch_.data(),
-                                   disk_scratch_.size());
-    return std::max(0.0, mm.max);
+    double peak = 0.0;
+    for (const auto &w : workers_)
+        peak = std::max(peak, diskUsed(w));
+    return peak;
 }
 
 double
 MrCluster::projectedDiskUsedMb() const
 {
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-        const Worker &w = workers_[i];
+    double peak = 0.0;
+    for (const auto &w : workers_) {
         double projected = diskUsed(w);
         for (const auto &t : w.running)
             projected += t.spill_total_mb - t.spilled_mb;
-        disk_scratch_[i] = projected;
+        peak = std::max(peak, projected);
     }
-    const auto mm =
-        sim::kernels::reduceMinMax(disk_scratch_.data(),
-                                   disk_scratch_.size());
-    return std::max(0.0, mm.max);
+    return peak;
 }
 
 double

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "sim/clock.h"
-#include "sim/metrics.h"
 #include "sim/rng.h"
 #include "sim/shard.h"
 #include "workload/wordcount.h"
@@ -147,9 +146,6 @@ class MrCluster
     sim::Rng rng_;              ///< master stream (spill jitter)
     std::vector<Worker> workers_;
     std::array<std::uint64_t, sim::kShards> shard_ops_{};
-    /** Per-worker disk-usage staging for the pinned-order reductions
-     *  (kernels::reduceMinMax) the sensors consume. */
-    mutable std::vector<double> disk_scratch_;
     std::deque<double> pending_; ///< spill size per pending task
     std::uint64_t parallelism_ = 1;
     sim::Tick job_submitted_ = -1;

@@ -64,7 +64,6 @@ workload::DfsioParams
 dfsioParams(const Hd4995Options &opts, bool multi_client)
 {
     workload::DfsioParams p;
-    p.clients = multi_client ? opts.clients : 1;
     p.writes_per_tick =
         multi_client ? opts.writes_per_tick : opts.writes_per_tick / 6.0;
     p.burstiness = 0.25;

@@ -31,7 +31,6 @@ struct Hd4995Options
     double yield_overhead_ticks = 40.0; ///< traversal revalidation cost
     double write_service_per_tick = 60.0;
     double writes_per_tick = 30.0;  ///< multi-client aggregate rate
-    std::uint64_t clients = 8;
     std::uint64_t du_files = 6000000;
     sim::Tick du_period = 800;      ///< du every 80 s
 };

@@ -80,9 +80,8 @@ rotl64(std::uint64_t x, int k)
 }
 
 // ---------------------------------------------------------------- scalar
-// The reference implementations.  Note the reductions spell out the
-// four-lane accumulation literally: these loops *are* the definition
-// the vector backends must reproduce bit-for-bit.
+// The reference implementations: these loops *are* the definition the
+// vector backends must reproduce bit-for-bit.
 
 namespace scalar {
 
@@ -107,56 +106,6 @@ aliasResolve(const std::uint64_t *entries, std::uint64_t n_slots,
                        ? slot
                        : static_cast<std::uint32_t>(entry);
     }
-}
-
-double
-reduceSum(const double *x, std::size_t n)
-{
-    double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        l0 += x[i];
-        l1 += x[i + 1];
-        l2 += x[i + 2];
-        l3 += x[i + 3];
-    }
-    double total = (l0 + l2) + (l1 + l3);
-    for (; i < n; ++i)
-        total += x[i];
-    return total;
-}
-
-MinMax
-reduceMinMax(const double *x, std::size_t n)
-{
-    constexpr double kInf = __builtin_inf();
-    double mn0 = kInf, mn1 = kInf, mn2 = kInf, mn3 = kInf;
-    double mx0 = -kInf, mx1 = -kInf, mx2 = -kInf, mx3 = -kInf;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        // Exactly minpd/maxpd(x, acc): a NaN element keeps the
-        // accumulator.
-        mn0 = x[i] < mn0 ? x[i] : mn0;
-        mn1 = x[i + 1] < mn1 ? x[i + 1] : mn1;
-        mn2 = x[i + 2] < mn2 ? x[i + 2] : mn2;
-        mn3 = x[i + 3] < mn3 ? x[i + 3] : mn3;
-        mx0 = x[i] > mx0 ? x[i] : mx0;
-        mx1 = x[i + 1] > mx1 ? x[i + 1] : mx1;
-        mx2 = x[i + 2] > mx2 ? x[i + 2] : mx2;
-        mx3 = x[i + 3] > mx3 ? x[i + 3] : mx3;
-    }
-    const double cn0 = mn0 < mn2 ? mn0 : mn2;
-    const double cn1 = mn1 < mn3 ? mn1 : mn3;
-    const double cx0 = mx0 > mx2 ? mx0 : mx2;
-    const double cx1 = mx1 > mx3 ? mx1 : mx3;
-    MinMax r;
-    r.min = cn0 < cn1 ? cn0 : cn1;
-    r.max = cx0 > cx1 ? cx0 : cx1;
-    for (; i < n; ++i) {
-        r.min = x[i] < r.min ? x[i] : r.min;
-        r.max = x[i] > r.max ? x[i] : r.max;
-    }
-    return r;
 }
 
 // Gaussian-pair body (kernels_gauss.inc) on plain doubles.  The ops
@@ -223,7 +172,7 @@ gaussianPairs(const std::uint64_t *words, double *z, std::size_t pairs)
 #ifdef SMARTCONF_X86
 
 // ----------------------------------------------------------------- avx2
-// 256-bit backend: one register holds all four lanes, and the alias
+// 256-bit backend: four 64-bit words per register, and the alias
 // kernel uses hardware gathers.  Every function carries the avx2
 // target attribute (the TU itself is compiled for the baseline ISA).
 
@@ -273,53 +222,6 @@ aliasResolve(const std::uint64_t *entries, std::uint64_t n_slots,
     }
     if (i < n)
         scalar::aliasResolve(entries, n_slots, words + i, n - i);
-}
-
-__attribute__((target("avx2"))) double
-reduceSum(const double *x, std::size_t n)
-{
-    __m256d acc = _mm256_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        acc = _mm256_add_pd(acc, _mm256_loadu_pd(x + i));
-    const __m128d s = _mm_add_pd(_mm256_castpd256_pd128(acc),
-                                 _mm256_extractf128_pd(acc, 1));
-    const double lo = _mm_cvtsd_f64(s);
-    const double hi = _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
-    double total = lo + hi;
-    for (; i < n; ++i)
-        total += x[i];
-    return total;
-}
-
-__attribute__((target("avx2"))) MinMax
-reduceMinMax(const double *x, std::size_t n)
-{
-    constexpr double kInf = __builtin_inf();
-    __m256d mn = _mm256_set1_pd(kInf);
-    __m256d mx = _mm256_set1_pd(-kInf);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d v = _mm256_loadu_pd(x + i);
-        mn = _mm256_min_pd(v, mn);
-        mx = _mm256_max_pd(v, mx);
-    }
-    const __m128d cn = _mm_min_pd(_mm256_castpd256_pd128(mn),
-                                  _mm256_extractf128_pd(mn, 1));
-    const __m128d cx = _mm_max_pd(_mm256_castpd256_pd128(mx),
-                                  _mm256_extractf128_pd(mx, 1));
-    const double cn0 = _mm_cvtsd_f64(cn);
-    const double cn1 = _mm_cvtsd_f64(_mm_unpackhi_pd(cn, cn));
-    const double cx0 = _mm_cvtsd_f64(cx);
-    const double cx1 = _mm_cvtsd_f64(_mm_unpackhi_pd(cx, cx));
-    MinMax r;
-    r.min = cn0 < cn1 ? cn0 : cn1;
-    r.max = cx0 > cx1 ? cx0 : cx1;
-    for (; i < n; ++i) {
-        r.min = x[i] < r.min ? x[i] : r.min;
-        r.max = x[i] > r.max ? x[i] : r.max;
-    }
-    return r;
 }
 
 // Gaussian-pair body on 256-bit lanes.  GK_FN carries the target
@@ -406,22 +308,24 @@ struct KernelTable
     void (*rng_output_map)(std::uint64_t *, std::size_t);
     void (*alias_resolve)(const std::uint64_t *, std::uint64_t,
                           std::uint64_t *, std::size_t);
-    double (*reduce_sum)(const double *, std::size_t);
-    MinMax (*reduce_minmax)(const double *, std::size_t);
     void (*gaussian_pairs)(const std::uint64_t *, double *,
                            std::size_t);
     simd::Isa isa;
 };
 
 constexpr KernelTable kScalarTable = {
-    scalar::rngOutputMap, scalar::aliasResolve,  scalar::reduceSum,
-    scalar::reduceMinMax, scalar::gaussianPairs, simd::Isa::Scalar,
+    scalar::rngOutputMap,
+    scalar::aliasResolve,
+    scalar::gaussianPairs,
+    simd::Isa::Scalar,
 };
 
 #ifdef SMARTCONF_X86
 constexpr KernelTable kAvx2Table = {
-    avx2::rngOutputMap, avx2::aliasResolve,  avx2::reduceSum,
-    avx2::reduceMinMax, avx2::gaussianPairs, simd::Isa::Avx2,
+    avx2::rngOutputMap,
+    avx2::aliasResolve,
+    avx2::gaussianPairs,
+    simd::Isa::Avx2,
 };
 #endif
 
@@ -480,18 +384,6 @@ aliasResolve(const std::uint64_t *entries, std::uint64_t n_slots,
              std::uint64_t *words, std::size_t n)
 {
     table().alias_resolve(entries, n_slots, words, n);
-}
-
-double
-reduceSum(const double *x, std::size_t n)
-{
-    return table().reduce_sum(x, n);
-}
-
-MinMax
-reduceMinMax(const double *x, std::size_t n)
-{
-    return table().reduce_minmax(x, n);
 }
 
 // One body at every dispatch level.  Each lane is its own register-

@@ -14,12 +14,9 @@
  *  - Integer kernels (PRNG output map, alias-table resolution) are
  *    bit-identical across backends, period.  The checksum has one
  *    scalar body for every level (see checksum()).
- *  - Floating-point reductions are made bit-identical by pinning one
- *    accumulation order — four virtual lanes, element i feeding lane
- *    i % 4, combined as (L0 op L2) op (L1 op L3), tail elements folded
- *    serially afterwards — which both backends implement literally.
- *    The 256-bit register holds lanes {0,1,2,3}; the scalar backend
- *    keeps four named accumulators.
+ *  - The one floating-point kernel, gaussianPairs(), is bit-identical
+ *    because its body uses only correctly rounded IEEE operations and
+ *    fixed polynomials, never libm or fused multiply-adds.
  *
  * Dispatch is process-wide and resolved on first use from
  * SMARTCONF_ISA / CPUID (see sim/simd.h); setIsa() re-points it for
@@ -58,29 +55,6 @@ void rngOutputMap(std::uint64_t *words, std::size_t n);
  */
 void aliasResolve(const std::uint64_t *entries, std::uint64_t n_slots,
                   std::uint64_t *words, std::size_t n);
-
-/**
- * Sum with the pinned lane-then-combine order described above.
- * Returns 0.0 for n == 0.  NaN/Inf propagate as IEEE addition does;
- * the fixed order keeps every backend's rounding identical.
- */
-double reduceSum(const double *x, std::size_t n);
-
-/** reduceMinMax() result; identities (+inf, -inf) when n == 0. */
-struct MinMax
-{
-    double min;
-    double max;
-};
-
-/**
- * Min and max with the pinned lane order.  The element rule is
- *   min: m = (x < m) ? x : m      max: M = (x > M) ? x : M
- * — literally minpd/maxpd(x, acc) semantics, so a NaN observation
- * never replaces the accumulator (matching the pre-kernel scalar
- * std::max fold) and every backend agrees bitwise.
- */
-MinMax reduceMinMax(const double *x, std::size_t n);
 
 /**
  * Payload checksum: four interleaved FNV-1a-style lanes over 8-byte

@@ -1,10 +1,6 @@
 #include "sim/metrics.h"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
-
-#include "sim/kernels.h"
 
 namespace smartconf::sim {
 
@@ -18,12 +14,6 @@ TimeSeries::max() const
 }
 
 double
-TimeSeries::last() const
-{
-    return points_.empty() ? 0.0 : points_.back().value;
-}
-
-double
 TimeSeries::mean() const
 {
     if (points_.empty())
@@ -32,16 +22,6 @@ TimeSeries::mean() const
     for (const auto &p : points_)
         acc += p.value;
     return acc / static_cast<double>(points_.size());
-}
-
-Tick
-TimeSeries::firstAbove(double threshold) const
-{
-    for (const auto &p : points_) {
-        if (p.value > threshold)
-            return p.tick;
-    }
-    return -1;
 }
 
 std::vector<TimeSeries::Point>
@@ -65,67 +45,6 @@ TimeSeries::downsampleMax(std::size_t buckets) const
         out.push_back(best);
     }
     return out;
-}
-
-std::string
-TimeSeries::toCsv(const TickConverter &conv) const
-{
-    std::ostringstream out;
-    out << "seconds," << (name_.empty() ? "value" : name_) << "\n";
-    for (const auto &p : points_)
-        out << conv.toSeconds(p.tick) << "," << p.value << "\n";
-    return out.str();
-}
-
-void
-Histogram::recordBatch(const double *values, std::size_t n)
-{
-    if (n == 0)
-        return;
-    values_.insert(values_.end(), values, values + n);
-    sum_ += kernels::reduceSum(values, n);
-    const kernels::MinMax mm = kernels::reduceMinMax(values, n);
-    // Fold the batch partials with the same directional rules the
-    // kernels use per element.
-    min_ = mm.min < min_ ? mm.min : min_;
-    max_ = mm.max > max_ ? mm.max : max_;
-    scratch_fresh_ = false;
-}
-
-double
-Histogram::percentile(double p) const
-{
-    if (values_.empty())
-        return 0.0;
-    if (!scratch_fresh_) {
-        // Refresh the reusable scratch copy; capacity is retained, so
-        // steady-state queries allocate only when the histogram grew.
-        scratch_.assign(values_.begin(), values_.end());
-        scratch_fresh_ = true;
-        scratch_sorted_ = false;
-        queries_since_mutation_ = 0;
-    }
-    const double rank =
-        std::ceil(p / 100.0 * static_cast<double>(scratch_.size()));
-    const std::size_t idx = static_cast<std::size_t>(std::max(
-        1.0, std::min(rank, static_cast<double>(scratch_.size()))));
-    if (!scratch_sorted_) {
-        if (queries_since_mutation_ == 0) {
-            // Single-query fast path: nth_element places the requested
-            // rank correctly in O(n) without sorting everything.
-            ++queries_since_mutation_;
-            std::nth_element(scratch_.begin(),
-                             scratch_.begin() +
-                                 static_cast<std::ptrdiff_t>(idx - 1),
-                             scratch_.end());
-        } else {
-            // Second query since the last mutation: sort once, then
-            // every further percentile is a plain lookup.
-            std::sort(scratch_.begin(), scratch_.end());
-            scratch_sorted_ = true;
-        }
-    }
-    return scratch_[idx - 1];
 }
 
 } // namespace smartconf::sim

@@ -31,9 +31,10 @@
  *    tick_seq rotation spreads consecutive small ticks over all lanes
  *    so every lane's stream advances at roughly the same rate.
  *
- * Sensors reduce over per-shard counters at decision points
- * (kernels::reduceSum / reduceMinMax, the pinned-order kernels), and
- * chaos hooks keep firing once per logical observation.
+ * No sensor reads the lanes: a controller measures the plant's own
+ * state (a queue, a heap, a lock's waits), and chaos hooks fire once
+ * per logical observation.  The per-lane op counts feed only the run
+ * result (ScenarioResult::shard_ops).
  */
 
 #include <array>

@@ -17,35 +17,7 @@ DfsioGenerator::tickInto(sim::Tick now, std::vector<DfsRequest> &out)
         params_.writes_per_tick * params_.burstiness);
     const auto n = static_cast<std::size_t>(std::max(0.0, std::round(raw)));
 
-    // resize without a preceding clear: shrink keeps constructed
-    // elements, growth value-initializes only the new tail.  Every
-    // field is overwritten below, so stale contents are harmless.
-    out.resize(n);
-    scratch_.resize(n);
-    const std::uint64_t clients =
-        std::max<std::uint64_t>(1, params_.clients);
-    // One raw word per request, batch-generated through the kernel
-    // layer; the client id is the same next() % clients each request
-    // drew serially (one word, same order), so the stream and the
-    // generated batches are unchanged.
-    rng_.fillRaw(scratch_.data(), n);
-    if ((clients & (clients - 1)) == 0) {
-        // Power-of-two client counts (all the shipped scenarios: 1, 4,
-        // 8) reduce with a mask — same value as the modulo, without a
-        // hardware divide per request.
-        const std::uint64_t mask = clients - 1;
-        for (std::size_t i = 0; i < n; ++i) {
-            out[i].type = DfsRequest::Type::WriteFile;
-            out[i].client = scratch_[i] & mask;
-            out[i].file_count = 0;
-        }
-    } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            out[i].type = DfsRequest::Type::WriteFile;
-            out[i].client = scratch_[i] % clients;
-            out[i].file_count = 0;
-        }
-    }
+    out.assign(n, DfsRequest{});
     generated_ += n;
 
     if (last_du_ < 0 || now - last_du_ >= params_.du_period) {

@@ -29,14 +29,13 @@ struct DfsRequest
     };
 
     Type type = Type::WriteFile;
-    std::uint64_t client = 0;    ///< issuing client id
     std::uint64_t file_count = 0; ///< subtree size for ContentSummary
 };
 
-/** TestDFSIO-like workload knobs (Table 6: single vs multi client). */
+/** TestDFSIO-like workload knobs (Table 6: single- and multi-client
+ *  runs differ in the aggregate write rate). */
 struct DfsioParams
 {
-    std::uint64_t clients = 4;      ///< concurrent writer clients
     double writes_per_tick = 30.0;  ///< aggregate write arrival rate
     double burstiness = 0.25;       ///< relative stddev of batch size
     sim::Tick du_period = 300;      ///< ticks between du commands
@@ -54,8 +53,8 @@ class DfsioGenerator
     /**
      * Fill @p out (cleared first) with the requests arriving during
      * tick @p now; a caller-owned buffer absorbs the per-tick
-     * allocation after the first bursts.  The write batch is generated
-     * in a single resize-and-fill pass.
+     * allocation after the first bursts.  A write carries nothing the
+     * namenode reads, so a tick draws only its batch size.
      */
     void tickInto(sim::Tick now, std::vector<DfsRequest> &out);
 
@@ -70,9 +69,6 @@ class DfsioGenerator
     sim::Rng rng_;
     sim::Tick last_du_ = -1;
     std::uint64_t generated_ = 0;
-
-    /** Per-tick raw-word batch buffer (amortized like `out`). */
-    std::vector<std::uint64_t> scratch_;
 };
 
 } // namespace smartconf::workload

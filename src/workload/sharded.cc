@@ -92,49 +92,14 @@ ShardedDfsioGenerator::tickInto(sim::Tick now,
         static_cast<std::size_t>(std::max(0.0, std::round(raw)));
     const std::uint64_t seq = plane_.nextTickSeq();
 
-    out.resize(n);
-    scratch_.resize(n);
-    const std::uint64_t clients =
-        std::max<std::uint64_t>(1, params_.clients);
-
-    if (n != 0) {
-        DfsRequest *const reqs = out.data();
-        std::uint64_t *const scratch = scratch_.data();
-        const auto block_body = [&](std::size_t lane_idx,
-                                    std::size_t begin,
-                                    std::size_t end) {
-            const std::size_t len = end - begin;
-            sim::Rng &lane = plane_.lane(lane_idx);
-            lane.fillRaw(scratch + begin, len);
-            if ((clients & (clients - 1)) == 0) {
-                const std::uint64_t mask = clients - 1;
-                for (std::size_t i = begin; i < end; ++i) {
-                    reqs[i].type = DfsRequest::Type::WriteFile;
-                    reqs[i].client = scratch[i] & mask;
-                    reqs[i].file_count = 0;
-                }
-            } else {
-                for (std::size_t i = begin; i < end; ++i) {
-                    reqs[i].type = DfsRequest::Type::WriteFile;
-                    reqs[i].client = scratch[i] % clients;
-                    reqs[i].file_count = 0;
-                }
-            }
-            plane_.addOps(lane_idx, len);
-        };
-        if (n <= sim::kShardGranule) {
-            // Single-block fast path: the layout shardLayout would
-            // produce, without the span table.
-            block_body(static_cast<std::size_t>(seq % sim::kShards), 0,
-                       n);
-        } else {
-            sim::ShardSpan spans[sim::kShards];
-            const std::size_t blocks = sim::shardLayout(n, seq, spans);
-            for (std::size_t b = 0; b < blocks; ++b)
-                block_body(spans[b].lane, spans[b].begin,
-                           spans[b].end);
-        }
-    }
+    out.assign(n, DfsRequest{});
+    // The lanes draw nothing: a write carries no per-request payload.
+    // Each block's writes still count against the lane the layout
+    // gives it, which is what shardOps() reports.
+    sim::ShardSpan spans[sim::kShards];
+    const std::size_t blocks = sim::shardLayout(n, seq, spans);
+    for (std::size_t b = 0; b < blocks; ++b)
+        plane_.addOps(spans[b].lane, spans[b].end - spans[b].begin);
     generated_ += n;
 
     if (last_du_ < 0 || now - last_du_ >= params_.du_period) {

@@ -8,9 +8,9 @@
  * These mirror YcsbGenerator / DfsioGenerator knob-for-knob but
  * partition each tick's batch across the fixed logical shards of a
  * sim::ShardPlane: the per-tick batch size comes from the plane's
- * control stream, and each block of the batch is produced *entirely*
- * by its lane — coins, keys and size jitter drawn from that lane's
- * jump-derived stream into disjoint segments of the shared SoA
+ * control stream, and each YCSB block of the batch is produced
+ * *entirely* by its lane — coins, keys and size jitter drawn from that
+ * lane's jump-derived stream into disjoint segments of the shared SoA
  * scratch buffers.  The (n, tick_seq) -> block/lane layout is pure and
  * every lane owns its gaussian spare, so the batch is a function of the
  * layout alone; blocks run serially, in block order.
@@ -73,9 +73,12 @@ class ShardedYcsbGenerator
 };
 
 /**
- * TestDFSIO namenode request batches produced per logical shard.  The
- * periodic admin `du` stays on the control path (it draws no RNG word
- * and is one request per du_period ticks).
+ * TestDFSIO namenode request batches, counted per logical shard.  The
+ * batch size comes from the control stream; a write request carries
+ * nothing drawn, so the lanes draw no word, and each block's writes
+ * count against its lane.  The periodic admin `du` stays on the
+ * control path (it draws no RNG word and is one request per du_period
+ * ticks).
  */
 class ShardedDfsioGenerator
 {
@@ -96,8 +99,6 @@ class ShardedDfsioGenerator
     sim::ShardPlane plane_;
     sim::Tick last_du_ = -1;
     std::uint64_t generated_ = 0;
-
-    std::vector<std::uint64_t> scratch_;
 };
 
 } // namespace smartconf::workload

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "dfs/namenode.h"
 
 namespace smartconf::dfs {
@@ -18,11 +20,10 @@ params()
 }
 
 workload::DfsRequest
-writeReq(std::uint64_t client = 0)
+writeReq()
 {
     workload::DfsRequest r;
     r.type = workload::DfsRequest::Type::WriteFile;
-    r.client = client;
     return r;
 }
 
@@ -35,47 +36,45 @@ duReq(std::uint64_t files)
     return r;
 }
 
+/** Submit a one-request batch. */
+void
+submit(Namenode &nn, const workload::DfsRequest &req, sim::Tick now)
+{
+    nn.submitAll({req}, now);
+}
+
 TEST(Namenode, WritesServedPromptlyWithoutDu)
 {
     Namenode nn(params(), 1000);
     for (int t = 0; t < 10; ++t) {
-        nn.submit(writeReq(), t);
+        submit(nn, writeReq(), t);
         nn.step(t);
     }
     EXPECT_EQ(nn.servedWrites(), 10u);
-    EXPECT_LE(nn.writeWaits().max(), 1.0);
-}
-
-TEST(Namenode, WritesGrowTheNamespace)
-{
-    Namenode nn(params(), 1000);
-    nn.submit(writeReq(3), 0);
-    nn.step(0);
-    EXPECT_EQ(nn.tree().filesUnder("/data"), 1u);
-    EXPECT_EQ(nn.tree().filesAt("/data/client3"), 1u);
+    EXPECT_LE(nn.takeRecentMaxWait(), 1.0);
 }
 
 TEST(Namenode, DuHoldsLockAndBlocksWrites)
 {
     Namenode nn(params(), 10000); // one big chunk: 10 ticks of lock
-    nn.submit(duReq(10000), 0);
+    submit(nn, duReq(10000), 0);
     sim::Tick t = 0;
     nn.step(t);
-    nn.submit(writeReq(), ++t); // arrives while the lock is held
+    submit(nn, writeReq(), ++t); // arrives while the lock is held
     while (nn.duActive()) {
         nn.step(t);
         ++t;
     }
     nn.step(t);
     EXPECT_EQ(nn.servedWrites(), 1u);
-    EXPECT_GE(nn.writeWaits().max(), 8.0) << "write waited out the du";
+    EXPECT_GE(nn.takeRecentMaxWait(), 8.0) << "write waited out the du";
 }
 
 TEST(Namenode, ChunkingBoundsLockHoldTime)
 {
     // limit 2000 at 1000 files/tick -> 2-tick holds.
     Namenode nn(params(), 2000);
-    nn.submit(duReq(10000), 0);
+    submit(nn, duReq(10000), 0);
     sim::Tick t = 0;
     while (nn.duActive() && t < 1000) {
         nn.step(t);
@@ -93,11 +92,11 @@ TEST(Namenode, SmallerLimitMeansShorterWaitsButSlowerDu)
 {
     auto run = [](std::uint64_t limit) {
         Namenode nn(params(), limit);
-        nn.submit(duReq(20000), 0);
+        submit(nn, duReq(20000), 0);
         sim::Tick t = 0;
         while (nn.duActive() && t < 5000) {
             if (t % 2 == 0)
-                nn.submit(writeReq(t % 4), t);
+                submit(nn, writeReq(), t);
             nn.step(t);
             ++t;
         }
@@ -106,7 +105,7 @@ TEST(Namenode, SmallerLimitMeansShorterWaitsButSlowerDu)
             nn.step(t);
             ++t;
         }
-        return std::make_pair(nn.writeWaits().max(),
+        return std::make_pair(nn.takeRecentMaxWait(),
                               nn.duResults().at(0).latency_ticks);
     };
     const auto [wait_small, du_small] = run(1000);
@@ -118,10 +117,10 @@ TEST(Namenode, SmallerLimitMeansShorterWaitsButSlowerDu)
 TEST(Namenode, RecentMaxWaitResets)
 {
     Namenode nn(params(), 5000);
-    nn.submit(duReq(5000), 0);
+    submit(nn, duReq(5000), 0);
     sim::Tick t = 0;
     nn.step(t++);
-    nn.submit(writeReq(), t);
+    submit(nn, writeReq(), t);
     while (nn.duActive() || nn.pendingWrites() > 0) {
         nn.step(t);
         ++t;
@@ -133,9 +132,9 @@ TEST(Namenode, RecentMaxWaitResets)
 TEST(Namenode, SecondDuIgnoredWhileActive)
 {
     Namenode nn(params(), 1000);
-    nn.submit(duReq(50000), 0);
+    submit(nn, duReq(50000), 0);
     nn.step(0);
-    nn.submit(duReq(50000), 1); // dropped
+    submit(nn, duReq(50000), 1); // dropped
     sim::Tick t = 1;
     while (nn.duActive() && t < 10000) {
         nn.step(t);
@@ -156,7 +155,7 @@ TEST(Namenode, DynamicLimitAdjustment)
 TEST(Namenode, ChunksCompletedCounts)
 {
     Namenode nn(params(), 1000);
-    nn.submit(duReq(3000), 0);
+    submit(nn, duReq(3000), 0);
     sim::Tick t = 0;
     while (nn.duActive() && t < 1000) {
         nn.step(t);
@@ -171,32 +170,30 @@ TEST(Namenode, ChunksCompletedCounts)
 namespace smartconf::dfs {
 namespace {
 
-TEST(NamenodeGrowth, DuOverLiveTreeUsesCurrentCount)
+TEST(NamenodeGrowth, DuSummarisesItsRequestsFileCount)
 {
     NamenodeParams p;
     p.traversal_files_per_tick = 100.0;
     p.write_service_per_tick = 50.0;
-    Namenode nn(p, 1000000);
-    // Grow the namespace, then du with file_count = 0 (use the tree).
-    for (int i = 0; i < 500; ++i) {
-        workload::DfsRequest w;
-        w.type = workload::DfsRequest::Type::WriteFile;
-        w.client = static_cast<std::uint64_t>(i % 4);
-        nn.submit(w, 0);
-    }
-    sim::Tick t = 0;
-    while (nn.pendingWrites() > 0)
-        nn.step(t++);
-    ASSERT_EQ(nn.tree().filesUnder("/data"), 500u);
+    // Whatever was written before it, a du walks exactly the file
+    // count its request carries: the namespace is not modelled.
+    for (const std::uint64_t files : {0u, 300u}) {
+        Namenode nn(p, 1000000);
+        nn.submitAll(std::vector<workload::DfsRequest>(500), 0);
+        sim::Tick t = 0;
+        while (nn.pendingWrites() > 0)
+            nn.step(t++);
+        ASSERT_EQ(nn.servedWrites(), 500u);
 
-    workload::DfsRequest du;
-    du.type = workload::DfsRequest::Type::ContentSummary;
-    du.file_count = 0; // summarize what is actually there
-    nn.submit(du, t);
-    while (nn.duActive() && t < 1000)
-        nn.step(t++);
-    ASSERT_EQ(nn.duResults().size(), 1u);
-    EXPECT_EQ(nn.duResults()[0].files, 500u);
+        workload::DfsRequest du;
+        du.type = workload::DfsRequest::Type::ContentSummary;
+        du.file_count = files;
+        submit(nn, du, t);
+        while (nn.duActive() && t < 1000)
+            nn.step(t++);
+        ASSERT_EQ(nn.duResults().size(), 1u) << "files=" << files;
+        EXPECT_EQ(nn.duResults()[0].files, files);
+    }
 }
 
 TEST(NamenodeGrowth, WritesKeepFlowingBetweenChunks)
@@ -209,12 +206,12 @@ TEST(NamenodeGrowth, WritesKeepFlowingBetweenChunks)
     workload::DfsRequest du;
     du.type = workload::DfsRequest::Type::ContentSummary;
     du.file_count = 5000;
-    nn.submit(du, 0);
+    submit(nn, du, 0);
     std::uint64_t served_mid = 0;
     for (sim::Tick t = 0; t < 200 && nn.duActive(); ++t) {
         workload::DfsRequest w;
         w.type = workload::DfsRequest::Type::WriteFile;
-        nn.submit(w, t);
+        submit(nn, w, t);
         nn.step(t);
         served_mid = nn.servedWrites();
     }

@@ -203,7 +203,6 @@ TEST(Integration, TailLatencySlaThroughPercentileSensor)
     workload::YcsbGenerator gen(wp, sim::Rng(13));
 
     WindowPercentileSensor p99(99.0, 256);
-    std::size_t delays_seen = 0;
     double late_p99 = 0.0;
     std::vector<workload::Op> ops;
     for (sim::Tick t = 0; t < 4000; ++t) {
@@ -211,9 +210,8 @@ TEST(Integration, TailLatencySlaThroughPercentileSensor)
         server.accept(ops, t);
         server.step(t);
         // feed every completed op's queueing delay into the sensor
-        const auto &delays = server.queueDelays().values();
-        for (; delays_seen < delays.size(); ++delays_seen)
-            p99.observe(delays[delays_seen]);
+        for (const double delay : server.lastStepDelays())
+            p99.observe(delay);
         // The percentile window spans ~21 ticks of completions, so the
         // controller is consulted on that cadence — reacting faster
         // than the sensor can observe would ratchet the bound down.

@@ -1,4 +1,4 @@
-/** @file Unit tests for time series and histogram recorders. */
+/** @file Unit tests for the time-series recorder. */
 
 #include <gtest/gtest.h>
 
@@ -16,18 +16,8 @@ TEST(TimeSeriesTest, RecordAndQuery)
     ts.record(2, 20.0);
     EXPECT_EQ(ts.size(), 3u);
     EXPECT_DOUBLE_EQ(ts.max(), 30.0);
-    EXPECT_DOUBLE_EQ(ts.last(), 20.0);
+    EXPECT_DOUBLE_EQ(ts.points().back().value, 20.0);
     EXPECT_DOUBLE_EQ(ts.mean(), 20.0);
-}
-
-TEST(TimeSeriesTest, FirstAbove)
-{
-    TimeSeries ts;
-    ts.record(0, 10.0);
-    ts.record(5, 50.0);
-    ts.record(9, 90.0);
-    EXPECT_EQ(ts.firstAbove(40.0), 5);
-    EXPECT_EQ(ts.firstAbove(100.0), -1);
 }
 
 TEST(TimeSeriesTest, DownsampleKeepsPeaks)
@@ -49,49 +39,6 @@ TEST(TimeSeriesTest, DownsampleNoOpWhenSmall)
     ts.record(0, 1.0);
     ts.record(1, 2.0);
     EXPECT_EQ(ts.downsampleMax(10).size(), 2u);
-}
-
-TEST(TimeSeriesTest, CsvRendering)
-{
-    TimeSeries ts("used_memory_mb");
-    ts.record(10, 123.0);
-    const std::string csv = ts.toCsv(TickConverter(10.0));
-    EXPECT_NE(csv.find("seconds,used_memory_mb"), std::string::npos);
-    EXPECT_NE(csv.find("1,123"), std::string::npos);
-}
-
-TEST(HistogramTest, MeanMaxPercentile)
-{
-    Histogram h;
-    for (int i = 1; i <= 100; ++i)
-        h.record(static_cast<double>(i));
-    EXPECT_EQ(h.count(), 100u);
-    EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-    EXPECT_DOUBLE_EQ(h.max(), 100.0);
-    EXPECT_DOUBLE_EQ(h.percentile(50.0), 50.0);
-    EXPECT_DOUBLE_EQ(h.percentile(99.0), 99.0);
-    EXPECT_DOUBLE_EQ(h.percentile(100.0), 100.0);
-}
-
-TEST(HistogramTest, EmptyIsZero)
-{
-    Histogram h;
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(h.percentile(99.0), 0.0);
-}
-
-TEST(HistogramTest, ResetClears)
-{
-    Histogram h;
-    h.record(5.0);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-}
-
-TEST(TimeSeriesTest, FirstAboveOnEmptySeries)
-{
-    TimeSeries ts;
-    EXPECT_EQ(ts.firstAbove(0.0), -1);
 }
 
 TEST(TimeSeriesTest, DownsampleZeroBucketsIsEmpty)
@@ -134,65 +81,6 @@ TEST(TimeSeriesTest, DownsampleEmptySeries)
     TimeSeries ts;
     EXPECT_TRUE(ts.downsampleMax(0).empty());
     EXPECT_TRUE(ts.downsampleMax(10).empty());
-}
-
-TEST(HistogramTest, PercentileCachedAcrossQueriesAndMutations)
-{
-    // The cached sorted state must be invalidated by record() and give
-    // the same nearest-rank answers as a fresh sort at every stage
-    // (first query = nth_element path, later queries = sorted lookups).
-    Histogram h;
-    for (int i = 100; i >= 1; --i)
-        h.record(static_cast<double>(i));
-    EXPECT_DOUBLE_EQ(h.percentile(50.0), 50.0);
-    EXPECT_DOUBLE_EQ(h.percentile(90.0), 90.0);
-    EXPECT_DOUBLE_EQ(h.percentile(10.0), 10.0);
-    h.record(1000.0);
-    EXPECT_DOUBLE_EQ(h.percentile(100.0), 1000.0);
-    // 101 values now: nearest-rank p50 is the 51st smallest.
-    EXPECT_DOUBLE_EQ(h.percentile(50.0), 51.0);
-    // Recording order stays untouched by percentile's scratch work.
-    EXPECT_DOUBLE_EQ(h.values().front(), 100.0);
-    EXPECT_DOUBLE_EQ(h.values().back(), 1000.0);
-}
-
-TEST(HistogramTest, RecordBatchMatchesScalarRecords)
-{
-    // The per-tick service loops switched to one recordBatch() per
-    // tick; the batch must be observably identical to the per-op
-    // record() sequence it replaced.
-    Histogram scalar;
-    Histogram batched;
-    const double values[] = {5.0, 1.0, 9.0, 1.0, 3.5, 7.25};
-    for (const double v : values)
-        scalar.record(v);
-    batched.recordBatch(values, 6);
-
-    EXPECT_EQ(scalar.count(), batched.count());
-    EXPECT_EQ(scalar.mean(), batched.mean()); // bit-identical sums
-    EXPECT_EQ(scalar.max(), batched.max());
-    EXPECT_EQ(scalar.percentile(50.0), batched.percentile(50.0));
-    EXPECT_EQ(scalar.percentile(99.0), batched.percentile(99.0));
-}
-
-TEST(HistogramTest, RecordBatchInvalidatesPercentileCache)
-{
-    Histogram h;
-    const double first[] = {1.0, 2.0, 3.0};
-    h.recordBatch(first, 3);
-    EXPECT_DOUBLE_EQ(h.percentile(100.0), 3.0); // warms the cache
-    const double second[] = {10.0};
-    h.recordBatch(second, 1);
-    EXPECT_DOUBLE_EQ(h.percentile(100.0), 10.0);
-}
-
-TEST(HistogramTest, RecordBatchEmptyIsNoop)
-{
-    Histogram h;
-    h.record(4.0);
-    h.recordBatch(nullptr, 0);
-    EXPECT_EQ(h.count(), 1u);
-    EXPECT_DOUBLE_EQ(h.mean(), 4.0);
 }
 
 } // namespace

@@ -47,21 +47,6 @@ TEST(Dfsio, DuIssuedPeriodically)
     EXPECT_EQ(dus, 10);
 }
 
-TEST(Dfsio, ClientIdsWithinRange)
-{
-    DfsioParams p;
-    p.clients = 4;
-    DfsioGenerator gen(p, sim::Rng(3));
-    std::vector<DfsRequest> reqs;
-    for (int t = 0; t < 200; ++t) {
-        gen.tickInto(t, reqs);
-        for (const auto &req : reqs) {
-            if (req.type == DfsRequest::Type::WriteFile)
-                EXPECT_LT(req.client, 4u);
-        }
-    }
-}
-
 TEST(Dfsio, FirstTickIssuesDu)
 {
     DfsioParams p;

@@ -14,8 +14,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "exec/sweep.h"
 #include "scenarios/hd4995.h"
 
 int
@@ -26,7 +26,8 @@ main(int argc, char **argv)
 
     Policy policy = Policy::smart();
     if (argc > 1)
-        policy = Policy::makeStatic(std::atof(argv[1]));
+        policy = Policy::makeStatic(
+            exec::parseDoubleFlag("static", argv[1]));
 
     Hd4995Scenario scenario;
     std::printf("HD4995: %s\n", scenario.info().description.c_str());

@@ -12,9 +12,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "exec/sweep.h"
 #include "scenarios/hb3813.h"
 
 int
@@ -25,7 +25,8 @@ main(int argc, char **argv)
 
     Policy policy = Policy::smart();
     if (argc > 1)
-        policy = Policy::makeStatic(std::atof(argv[1]));
+        policy = Policy::makeStatic(
+            exec::parseDoubleFlag("static", argv[1]));
 
     Hb3813Scenario scenario;
     std::printf("HB3813: %s\n", scenario.info().description.c_str());

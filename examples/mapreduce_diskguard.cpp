@@ -14,8 +14,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "exec/sweep.h"
 #include "scenarios/mr2820.h"
 
 int
@@ -26,7 +26,8 @@ main(int argc, char **argv)
 
     Policy policy = Policy::smart();
     if (argc > 1)
-        policy = Policy::makeStatic(std::atof(argv[1]));
+        policy = Policy::makeStatic(
+            exec::parseDoubleFlag("static", argv[1]));
 
     Mr2820Scenario scenario;
     std::printf("MR2820: %s\n", scenario.info().description.c_str());

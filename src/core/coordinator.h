@@ -17,6 +17,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/goal.h"
@@ -68,7 +69,8 @@ class GoalCoordinator
 
     /**
      * attach() every controller of @p controllers, in order, with one
-     * registry lookup and at most one interaction-factor refresh.
+     * hashed registry lookup and at most one interaction-factor
+     * refresh.
      *
      * The end state equals that of attaching them one by one.  When the
      * registry already holds exactly these controllers in this order —
@@ -100,8 +102,10 @@ class GoalCoordinator
   private:
     void refreshInteractionFactors(const std::string &metric);
 
-    std::map<std::string, Goal> goals_;
-    std::map<std::string, std::vector<Controller *>> attached_;
+    std::map<std::string, Goal> goals_; ///< ordered: goals() hands it out
+    /** Only found, inserted into and erased, never iterated: hashed,
+     *  so a steady-state attachAll is one lookup, not a tree walk. */
+    std::unordered_map<std::string, std::vector<Controller *>> attached_;
 };
 
 } // namespace smartconf

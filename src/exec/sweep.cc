@@ -127,6 +127,28 @@ parseIntFlag(const char *flag, const char *text, std::uint64_t lo,
     return v;
 }
 
+double
+parseDoubleFlag(const char *flag, const char *text)
+{
+    // strtod also skips leading blanks and reads signs, "nan", "inf"
+    // and hex floats, so the text must start with a digit or a point
+    // and hold no 'x'; what is left is a decimal >= 0, and ERANGE flags
+    // one outside the range of a double.
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    const bool lead = std::isdigit(static_cast<unsigned char>(text[0])) ||
+                      text[0] == '.';
+    if (!lead || std::strpbrk(text, "xX") || end == text || *end != '\0' ||
+        errno == ERANGE) {
+        std::fprintf(stderr,
+                     "invalid %s value '%s' (want a finite number >= 0)\n",
+                     flag, text);
+        std::exit(2);
+    }
+    return v;
+}
+
 SweepArgs
 parseSweepArgs(int argc, char **argv,
                const std::string &default_cache_dir)

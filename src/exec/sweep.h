@@ -147,6 +147,15 @@ std::uint64_t parseIntFlag(const char *flag, const char *text,
                            std::uint64_t lo, std::uint64_t hi);
 
 /**
+ * parseIntFlag's twin for a real-valued argument: the whole of @p text
+ * must be a finite decimal number >= 0.  Anything else (empty text,
+ * blanks, trailing characters, a sign-led negative, nan, inf, a value
+ * out of double range) prints "invalid <flag> value '<text>' (want a
+ * finite number >= 0)" to stderr and exits with status 2.
+ */
+double parseDoubleFlag(const char *flag, const char *text);
+
+/**
  * Parse `--jobs N` (also `--jobs=N`, `-j N`), `--json`,
  * `--cache-dir PATH` (also `--cache-dir=PATH`) and `--no-disk-cache`
  * from a bench harness's argv; unknown arguments are ignored.  Exits

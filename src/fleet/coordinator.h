@@ -29,14 +29,15 @@
  *      epoch.
  *
  * Cost per epoch.  The heartbeat is one GoalCoordinator::attachAll per
- * *cluster*: one registry lookup plus a compare of the registered
- * controller pointers, which match from the second epoch on, so the
- * interaction factor is refreshed only when membership changed.  Steps
- * 2 and 3 touch every member once and stay serial, in join order: the
- * aggregate is a floating-point sum whose order is part of the output,
- * and a second fork/join per epoch would cost about what the fan-out
- * saves.  The tenants' own ticks run in the parallel epoch body
- * (fleet/fleet.h), not here.
+ * *cluster*: one hashed registry lookup plus a compare of the
+ * registered controller pointers, which match from the second epoch
+ * on, so the interaction factor is refreshed only when membership
+ * changed.  Steps 2 and 3 touch every member once and stay serial, in
+ * join order: the aggregate is a floating-point sum whose order is
+ * part of the output, and a second fork/join per epoch does not pay:
+ * at 10k tenants one wake-up of the parked helpers costs more than the
+ * whole aggregate (DESIGN.md §7 has the measurements).  The tenants'
+ * own ticks run in the parallel epoch body (fleet/fleet.h), not here.
  *
  * Batching makes the coordination cost measurable — attach calls and
  * fan-outs (one per member per epoch) and wall time per epoch are all

@@ -12,15 +12,36 @@
 namespace smartconf::fleet {
 namespace {
 
+// The element a full sort would put at rank q * (n - 1), selected in
+// place: @p v is reordered, so read anything order-sensitive first.
 double
-percentile(std::vector<double> sorted, double q)
+percentile(std::vector<double> &v, double q)
 {
-    if (sorted.empty())
+    if (v.empty())
         return 0.0;
-    std::sort(sorted.begin(), sorted.end());
-    const std::size_t idx = static_cast<std::size_t>(
-        q * static_cast<double>(sorted.size() - 1));
-    return sorted[idx];
+    const auto nth = v.begin() + static_cast<std::ptrdiff_t>(
+                                     q * static_cast<double>(v.size() - 1));
+    std::nth_element(v.begin(), nth, v.end());
+    return *nth;
+}
+
+// One epoch's per-tenant traffic: @p draws Zipf picks, drawn and
+// counted in cache-sized chunks so the words never leave L1 between
+// the two.  The traffic Rng is one serial stream, so the counts equal
+// those of a single sampleBatch over the whole epoch.
+void
+drawTraffic(const sim::ZipfianGenerator &zipf, sim::Rng &traffic,
+            std::size_t draws, std::vector<std::uint32_t> &counts)
+{
+    constexpr std::size_t kChunk = 4096;
+    std::uint64_t chunk[kChunk];
+    std::fill(counts.begin(), counts.end(), 0u);
+    for (std::size_t done = 0; done < draws; done += kChunk) {
+        const std::size_t n = std::min(kChunk, draws - done);
+        zipf.sampleBatch(traffic, chunk, n);
+        for (std::size_t k = 0; k < n; ++k)
+            ++counts[chunk[k]];
+    }
 }
 
 } // namespace
@@ -121,8 +142,11 @@ runFleet(const FleetParams &params)
     sim::ZipfianGenerator zipf(n_tenants, params.zipf_theta);
     const std::size_t draws = static_cast<std::size_t>(std::llround(
         params.draws_per_tenant * static_cast<double>(n_tenants)));
-    std::vector<std::uint64_t> draw_buf(draws);
+    // Epoch e ticks on counts while its parallelFor draws epoch e + 1's
+    // traffic into next_counts; the buffers swap at the epoch's end.
     std::vector<std::uint32_t> counts(n_tenants);
+    std::vector<std::uint32_t> next_counts(n_tenants);
+    drawTraffic(zipf, traffic, draws, counts);
 
     const std::size_t groups =
         std::min<std::size_t>(kFleetGroups, n_tenants);
@@ -141,14 +165,9 @@ runFleet(const FleetParams &params)
         const sim::Tick e1 =
             std::min<sim::Tick>(e0 + params.epoch_ticks, params.ticks);
         // Serial coordination boundary: cluster aggregation + frozen
-        // fan-out, then this epoch's Zipf traffic split and diurnal
-        // table.
+        // fan-out, then this epoch's diurnal table.
         if (params.smart)
             coord.runEpoch();
-        zipf.sampleBatch(traffic, draw_buf.data(), draws);
-        std::fill(counts.begin(), counts.end(), 0u);
-        for (const std::uint64_t d : draw_buf)
-            ++counts[d];
         const double epoch_len = static_cast<double>(e1 - e0);
         for (std::size_t a = 0; a < curves.size(); ++a)
             for (sim::Tick t = e0; t < e1; ++t)
@@ -156,10 +175,18 @@ runFleet(const FleetParams &params)
                         static_cast<std::size_t>(t - e0)] =
                     curves[a].at(t);
 
-        // Parallel epoch body: group g owns tenants [lo, hi) and no
-        // other state, so any executor schedule produces identical
-        // results.
-        const auto body = [&](std::size_t g) {
+        // Parallel epoch body.  Index 0 draws the next epoch's traffic:
+        // it reads no tenant state and is the only user of the traffic
+        // Rng, and as the longest index it is claimed first.  Index
+        // g + 1 ticks group g, which owns tenants [lo, hi) and no other
+        // state, so any executor schedule produces identical results.
+        const auto body = [&](std::size_t k) {
+            if (k == 0) {
+                if (e1 < params.ticks)
+                    drawTraffic(zipf, traffic, draws, next_counts);
+                return;
+            }
+            const std::size_t g = k - 1;
             const std::size_t lo = g * n_tenants / groups;
             const std::size_t hi = (g + 1) * n_tenants / groups;
             for (std::size_t i = lo; i < hi; ++i) {
@@ -172,10 +199,11 @@ runFleet(const FleetParams &params)
             }
         };
         if (params.pool)
-            params.pool->parallelFor(groups, body);
+            params.pool->parallelFor(groups + 1, body);
         else
-            for (std::size_t g = 0; g < groups; ++g)
-                body(g);
+            for (std::size_t k = 0; k <= groups; ++k)
+                body(k);
+        counts.swap(next_counts);
         ++epochs;
     }
 

@@ -12,11 +12,14 @@
  *
  *   serial epoch boundary          parallel epoch body
  *   ---------------------          -------------------
- *   FleetCoordinator.runEpoch()    fixed logical tenant groups fan
- *   Zipf draw -> per-tenant        out over the executor; each group
- *   traffic counts                 runs TenantNode::tickEpoch for its
- *   diurnal table: 6 archetypes    tenants (plants, controllers and
- *   x epoch ticks                  one batched noise draw per tenant)
+ *   FleetCoordinator.runEpoch()    one parallelFor over 1 + groups
+ *   diurnal table: 6 archetypes    indices.  Index 0: the NEXT
+ *   x epoch ticks                  epoch's Zipf draw -> per-tenant
+ *                                  traffic counts.  Index g + 1:
+ *                                  tenant group g runs
+ *                                  TenantNode::tickEpoch for its
+ *                                  tenants (plants, controllers and
+ *                                  one batched noise draw per tenant)
  *
  * Determinism: the tenant->group map is a pure function of the tenant
  * count (kFleetGroups contiguous ranges), every tenant owns a private
@@ -28,7 +31,12 @@
  * the alias-table sampler) draws each epoch's ops; per-tenant load is
  * the tenant's draw count shaped by a diurnal curve whose phase is
  * staggered per archetype, so the six tenant families peak at
- * different times of the simulated day.
+ * different times of the simulated day.  The draw reads no tenant
+ * state, so it runs one epoch ahead: epoch 0's before the loop, epoch
+ * e + 1's inside epoch e's body, into a second count buffer that
+ * swaps in at the epoch's end.  It draws and counts in cache-sized
+ * chunks off one serial traffic Rng used by no other index, so every
+ * count is the same as one batch drawn at the epoch boundary.
  */
 
 #include <cstdint>

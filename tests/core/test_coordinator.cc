@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/controller.h"
@@ -332,6 +334,62 @@ TEST(Coordinator, IndependentMetricsDoNotInteract)
     coord.attach("disk", &b);
     EXPECT_DOUBLE_EQ(a.params().interactionFactor, 1.0);
     EXPECT_DOUBLE_EQ(b.params().interactionFactor, 1.0);
+}
+
+TEST(Coordinator, HeartbeatAtFleetScaleKeepsEveryCount)
+{
+    // The fleet's registry shape: thousands of super-hard cluster
+    // metrics whose names share a long prefix, each re-asserted by one
+    // attachAll per epoch.
+    constexpr std::size_t kMetrics = 3000;
+    constexpr std::size_t kPerMetric = 4;
+    GoalCoordinator coord;
+    std::vector<std::string> metrics;
+    std::deque<Controller> controllers;
+    std::vector<std::vector<Controller *>> members(kMetrics);
+    for (std::size_t m = 0; m < kMetrics; ++m) {
+        metrics.push_back("fleet/memory_consumption_max/" +
+                          std::to_string(m));
+        coord.declareGoal(goal(metrics[m], true));
+        for (std::size_t k = 0; k < kPerMetric; ++k) {
+            controllers.emplace_back(params(), goal(metrics[m], true));
+            members[m].push_back(&controllers.back());
+        }
+    }
+
+    // Metrics other than `except` whose N is not kPerMetric.
+    const auto countsOff = [&](std::size_t except) {
+        std::size_t off = 0;
+        for (std::size_t m = 0; m < kMetrics; ++m)
+            if (m != except &&
+                coord.interactionCount(metrics[m]) != kPerMetric)
+                ++off;
+        return off;
+    };
+    for (int epoch = 0; epoch < 3; ++epoch)
+        for (std::size_t m = 0; m < kMetrics; ++m)
+            coord.attachAll(metrics[m], members[m]);
+    EXPECT_EQ(countsOff(kMetrics), 0u); // no metric excepted
+    std::size_t factors_off = 0;
+    for (const Controller &c : controllers)
+        if (c.params().interactionFactor != 4.0)
+            ++factors_off;
+    EXPECT_EQ(factors_off, 0u);
+
+    // One detach rebalances its own metric and no other.
+    const std::size_t hit = 1234;
+    coord.detach(metrics[hit], members[hit][2]);
+    EXPECT_EQ(coord.interactionCount(metrics[hit]), 3u);
+    EXPECT_DOUBLE_EQ(members[hit][0]->params().interactionFactor, 3.0);
+    EXPECT_DOUBLE_EQ(members[hit + 1][0]->params().interactionFactor,
+                     4.0);
+    EXPECT_EQ(countsOff(hit), 0u);
+
+    // Unknown metrics, one a near miss of the registered names, have
+    // no controllers.
+    EXPECT_EQ(coord.interactionCount("fleet/memory_consumption_max/3000"),
+              0u);
+    EXPECT_EQ(coord.interactionCount("no-such-metric"), 0u);
 }
 
 } // namespace

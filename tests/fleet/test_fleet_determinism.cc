@@ -19,9 +19,27 @@ namespace smartconf::fleet {
 namespace {
 
 /**
- * The default epoch shape, and an odd one: 7-tick epochs carry a
- * spare normal across every epoch boundary, are not a multiple of the
- * control period, and 23 ticks end in a 2-tick epoch.
+ * A fleet whose epochs draw 8000 traffic words: more than one draw
+ * chunk, and not a multiple of it, so a chunked draw that lost or
+ * repeated a word would move the counts.
+ */
+FleetParams
+multiChunkFleet()
+{
+    FleetParams p;
+    p.tenants = 1000;
+    p.draws_per_tenant = 8.0;
+    p.ticks = 60;
+    p.seed = 3;
+    return p;
+}
+
+/**
+ * The default epoch shape; an odd one: 7-tick epochs carry a spare
+ * normal across every epoch boundary, are not a multiple of the
+ * control period, and 23 ticks end in a 2-tick epoch; the multi-chunk
+ * traffic fleet; and a single epoch, whose traffic is all drawn before
+ * the loop, so no epoch body draws any.
  */
 std::vector<FleetParams>
 testFleets()
@@ -33,13 +51,16 @@ testFleets()
     FleetParams odd = p;
     odd.epoch_ticks = 7;
     odd.ticks = 23;
-    return {p, odd};
+    FleetParams one_epoch = p;
+    one_epoch.ticks = 15;
+    return {p, odd, multiChunkFleet(), one_epoch};
 }
 
 std::string
 label(const FleetParams &p)
 {
-    return "epoch_ticks=" + std::to_string(p.epoch_ticks) +
+    return "tenants=" + std::to_string(p.tenants) +
+           " epoch_ticks=" + std::to_string(p.epoch_ticks) +
            " ticks=" + std::to_string(p.ticks);
 }
 
@@ -98,6 +119,25 @@ TEST(FleetDeterminism, RepeatRunsAreBitIdentical)
         EXPECT_EQ(a.coord.fanouts, b.coord.fanouts);
         EXPECT_EQ(a.epochs, b.epochs);
     }
+}
+
+TEST(FleetDeterminism, ChecksumPinnedAcrossTrafficChunking)
+{
+    // Recorded from the build that drew each epoch's traffic in one
+    // serial batch at the epoch boundary: drawing it in chunks, one
+    // epoch ahead inside the parallel body, must not move a count.
+    const FleetParams base = multiChunkFleet();
+    const FleetResult serial = runFleet(base);
+    EXPECT_EQ(serial.epochs, 3u);
+    EXPECT_EQ(serial.checksum, 0xedfb2ed703aa6857ULL);
+    EXPECT_DOUBLE_EQ(serial.convergence_p99_ticks, 24.0);
+
+    exec::ThreadPool pool(4);
+    FleetParams p = base;
+    p.pool = &pool;
+    const FleetResult parallel = runFleet(p);
+    EXPECT_EQ(parallel.checksum, 0xedfb2ed703aa6857ULL);
+    EXPECT_DOUBLE_EQ(parallel.convergence_p99_ticks, 24.0);
 }
 
 } // namespace

@@ -119,13 +119,17 @@ main(int argc, char **argv)
                     r.result.violation_time_s,
                     r.result.worst_goal_metric, r.result.raw_tradeoff);
     }
+    const double single_pole_drop_pct =
+        100.0 * (1.0 - runs[1].result.raw_tradeoff /
+                           runs[0].result.raw_tradeoff);
     std::printf(
         "\nSmartConf absorbs the allocation burst and keeps serving; "
         "the single-pole\ncontroller survives only by being so "
-        "conservative that throughput drops ~30%%\n(the paper's variant "
+        "conservative that throughput drops %.0f%%\n(the paper's variant "
         "crashes at ~80 s instead); the no-virtual-goal\ncontroller has "
         "no headroom and dies during the ramp-up or when the\nburst "
-        "lands (paper: JVM crash at ~36 s).\n");
+        "lands (paper: JVM crash at ~36 s).\n",
+        single_pole_drop_pct);
 
     const auto cs = runner.cache().stats();
     std::fprintf(stderr,

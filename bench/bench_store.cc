@@ -124,8 +124,8 @@ main(int argc, char **argv)
     constexpr std::uint64_t kLookups = 2000;
 
     {
-        // Fill through the production path.  Background compaction off:
-        // the compaction pass below times it deterministically.
+        // Fill through the production path.  auto_compact off, so no
+        // flush merges: the compaction pass below times every merge.
         smartconf::store::SegmentStore::Options opts;
         opts.auto_compact = false;
         DiskRunCache cache(root, opts);

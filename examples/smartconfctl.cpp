@@ -34,7 +34,7 @@
  *
  *     smartconfctl verify
  *         full-scan integrity check (headers, indexes, payload
- *         checksums, manifest); exit 1 on any finding.
+ *         checksums, record chains); exit 1 on any finding.
  */
 
 #include <cinttypes>
@@ -220,8 +220,6 @@ resolveStoreDir(const std::string &root)
     if (fs::exists(versioned))
         return versioned;
     // Accept being pointed straight at a versioned directory.
-    if (fs::exists(fs::path(root) / store::SegmentStore::kManifestName))
-        return root;
     std::error_code ec;
     for (const auto &e : fs::directory_iterator(root, ec))
         if (e.path().extension() == ".seg")
@@ -320,10 +318,9 @@ cmdVerify(const StoreArgs &a)
         std::printf("FINDING %s: %s\n", i.segment.c_str(),
                     i.what.c_str());
     std::printf("%zu segment(s) ok, %zu corrupt; %" PRIu64
-                " entr%s ok, %" PRIu64 " corrupt; manifest %s\n",
+                " entr%s ok, %" PRIu64 " corrupt\n",
                 r.segments_ok, r.segments_corrupt, r.entries_ok,
-                r.entries_ok == 1 ? "y" : "ies", r.entries_corrupt,
-                r.manifest_ok ? "ok" : "TORN/STALE");
+                r.entries_ok == 1 ? "y" : "ies", r.entries_corrupt);
     return r.clean() ? 0 : 1;
 }
 

@@ -99,7 +99,7 @@ struct SegmentIndex
     }
 };
 
-/** FNV-1a 64-bit over raw bytes (key hashing, manifest lines). */
+/** FNV-1a 64-bit over raw bytes (key hashing and sharding). */
 std::uint64_t fnv1a64(const void *data, std::size_t len);
 std::uint64_t fnv1a64(const std::string &s);
 

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -19,6 +18,9 @@ namespace {
 
 /** Shards a segment name can carry: two hex digits. */
 constexpr std::size_t kMaxShards = 256;
+
+/** A shard also seals once its pending payloads reach this size. */
+constexpr std::size_t kFlushBytes = 4u << 20;
 
 /** seg-<shard 2hex>-<seq 16hex>-<pid hex>.seg */
 std::string
@@ -84,20 +86,10 @@ SegmentStore::SegmentStore(std::string dir, Options opts)
     shards_.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
         shards_.push_back(std::make_unique<Shard>());
-    if (opts_.auto_compact)
-        compactor_ = std::thread([this] { compactionLoop(); });
 }
 
 SegmentStore::~SegmentStore()
 {
-    if (compactor_.joinable()) {
-        {
-            std::lock_guard<std::mutex> lock(compact_mu_);
-            stopping_ = true;
-        }
-        compact_cv_.notify_all();
-        compactor_.join();
-    }
     flush();
 }
 
@@ -125,16 +117,6 @@ SegmentStore::seedOfKey(const std::string &key, std::uint64_t &seed)
     }
     seed = v;
     return true;
-}
-
-bool
-SegmentStore::put(const std::string &key, const void *payload,
-                  std::size_t payload_len,
-                  std::uint64_t payload_checksum)
-{
-    const auto *p = static_cast<const char *>(payload);
-    return put(key, std::vector<char>(p, p + payload_len),
-               payload_checksum);
 }
 
 bool
@@ -169,39 +151,20 @@ SegmentStore::put(const std::string &key, std::vector<char> &&payload,
         sh.pending_bytes += payload_len;
         full = pendingFull(sh);
     }
-    {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.puts;
-        stats_.put_bytes += payload_len;
-    }
     if (!full)
         return true; // no system call on a put that does not seal
 
     rescanIfStale(); // the seq floor, before a name is claimed
-    bool sealed = false;
-    bool sealed_ok = true;
-    {
-        std::lock_guard<std::mutex> lock(sh.mu);
-        // A racing put to this shard may have sealed it meanwhile.
-        if (pendingFull(sh)) {
-            sealed_ok = sealShardLocked(sh, shard_id);
-            sealed = true;
-        }
-    }
-    if (sealed && sealed_ok) {
-        std::lock_guard<std::mutex> lock(store_mu_);
-        writeManifestLocked();
-    }
-    if (sealed)
-        kickCompactor();
-    return sealed_ok;
+    std::lock_guard<std::mutex> lock(sh.mu);
+    // A racing put to this shard may have sealed it meanwhile.
+    return !pendingFull(sh) || sealShardLocked(sh, shard_id);
 }
 
 bool
 SegmentStore::pendingFull(const Shard &sh) const
 {
     return sh.pending.size() >= opts_.flush_entries ||
-           sh.pending_bytes >= opts_.flush_bytes;
+           sh.pending_bytes >= kFlushBytes;
 }
 
 bool
@@ -420,12 +383,6 @@ SegmentStore::rescanLocked()
     std::uint64_t cur = seq_.load();
     while (cur < max_seq && !seq_.compare_exchange_weak(cur, max_seq)) {
     }
-
-    if (!scanned_) {
-        Manifest m;
-        if (readManifest(dir_, m))
-            manifest_epoch_ = m.epoch;
-    }
     scanned_ = true;
 
     for (std::uint32_t s = 0; s < opts_.shard_count; ++s) {
@@ -464,66 +421,43 @@ SegmentStore::rescanLocked()
 bool
 SegmentStore::flush()
 {
-    if (stats().pending_entries == 0)
-        return true;
-    rescanIfStale(); // the seq floor, before any name is claimed
     bool ok = true;
-    bool published = false;
-    for (std::uint32_t s = 0; s < opts_.shard_count; ++s) {
-        Shard &sh = *shards_[s];
-        std::lock_guard<std::mutex> lock(sh.mu);
-        if (sh.pending.empty())
-            continue;
-        if (sealShardLocked(sh, s))
-            published = true;
-        else
-            ok = false;
-    }
-    if (published) {
-        {
-            std::lock_guard<std::mutex> lock(store_mu_);
-            writeManifestLocked();
+    if (stats().pending_entries > 0) {
+        rescanIfStale(); // the seq floor, before any name is claimed
+        for (std::uint32_t s = 0; s < opts_.shard_count; ++s) {
+            Shard &sh = *shards_[s];
+            std::lock_guard<std::mutex> lock(sh.mu);
+            if (!sealShardLocked(sh, s))
+                ok = false;
         }
-        kickCompactor();
     }
+    // Merge whether or not anything was pending: a store whose puts all
+    // sealed reaches the threshold with an empty pending buffer.
+    if (opts_.auto_compact)
+        compactShards(kCompactMinSegments);
     return ok;
-}
-
-void
-SegmentStore::writeManifestLocked()
-{
-    Manifest m;
-    m.format = opts_.format;
-    m.engine = opts_.engine;
-    m.epoch = ++manifest_epoch_;
-    for (std::uint32_t s = 0; s < opts_.shard_count; ++s) {
-        Shard &sh = *shards_[s];
-        std::lock_guard<std::mutex> lock(sh.mu);
-        for (const auto &seg : sh.segments)
-            m.segments.emplace_back(seg->name, seg->header.count);
-    }
-    std::sort(m.segments.begin(), m.segments.end());
-    (void)writeManifest(dir_, m); // advisory: failure never blocks IO
 }
 
 CompactionResult
 SegmentStore::compact()
 {
     rescanIfStale();
+    return compactShards(2);
+}
+
+CompactionResult
+SegmentStore::compactShards(std::size_t min_segments)
+{
     CompactionResult agg;
     for (std::uint32_t s = 0; s < opts_.shard_count; ++s) {
-        bool multi;
+        std::size_t count;
         {
             Shard &sh = *shards_[s];
             std::lock_guard<std::mutex> lock(sh.mu);
-            multi = sh.segments.size() > 1;
+            count = sh.segments.size();
         }
-        if (multi && compactShard(s, agg))
+        if (count >= min_segments && compactShard(s, agg))
             ++agg.shards_compacted;
-    }
-    if (agg.shards_compacted > 0) {
-        std::lock_guard<std::mutex> lock(store_mu_);
-        writeManifestLocked();
     }
     return agg;
 }
@@ -629,13 +563,9 @@ SegmentStore::compactShard(std::uint32_t shard_id,
                       return a->seq > b2->seq;
                   });
     }
-    {
-        std::lock_guard<std::mutex> lock(store_mu_);
-        writeManifestLocked();
-    }
-    // Unlink the inputs only after the merged segment and manifest are
-    // live.  In-flight readers keep their fds; listings from here on
-    // see the merged segment.
+    // Unlink the inputs only after the merged segment is live.
+    // In-flight readers keep their fds; listings from here on see the
+    // merged segment.
     std::error_code ec;
     for (const auto &seg : inputs)
         fs::remove(dir_ + "/" + seg->name, ec);
@@ -646,56 +576,7 @@ SegmentStore::compactShard(std::uint32_t shard_id,
     agg.entries_out += merged->header.count;
     agg.bytes_written +=
         merged->header.index_off + merged->header.index_len;
-    {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.compactions;
-        stats_.compacted_segments_in += inputs.size();
-    }
     return true;
-}
-
-void
-SegmentStore::kickCompactor()
-{
-    if (!compactor_.joinable())
-        return;
-    {
-        std::lock_guard<std::mutex> lock(compact_mu_);
-        compact_wanted_ = true;
-    }
-    compact_cv_.notify_all();
-}
-
-void
-SegmentStore::compactionLoop()
-{
-    std::unique_lock<std::mutex> lock(compact_mu_);
-    for (;;) {
-        compact_cv_.wait(lock, [this] {
-            return stopping_ || compact_wanted_;
-        });
-        if (stopping_)
-            return;
-        compact_wanted_ = false;
-        // Debounce: let a burst of publishes land before merging.
-        compact_cv_.wait_for(lock, std::chrono::milliseconds(20),
-                             [this] { return stopping_; });
-        if (stopping_)
-            return;
-        lock.unlock();
-        CompactionResult agg;
-        for (std::uint32_t s = 0; s < opts_.shard_count; ++s) {
-            std::size_t count;
-            {
-                Shard &sh = *shards_[s];
-                std::lock_guard<std::mutex> shlock(sh.mu);
-                count = sh.segments.size();
-            }
-            if (count >= opts_.compact_min_segments)
-                compactShard(s, agg);
-        }
-        lock.lock();
-    }
 }
 
 VerifyResult
@@ -796,27 +677,6 @@ SegmentStore::verify()
                     {name, "payload checksum mismatch"});
         }
     }
-
-    // Manifest: advisory, but verify reports tears and stale listings.
-    Manifest m;
-    const std::string mpath = dir_ + "/" + kManifestName;
-    if (fs::exists(mpath, ec)) {
-        if (!readManifest(dir_, m)) {
-            r.manifest_ok = false;
-            r.issues.push_back({"MANIFEST", "torn (bad trailer "
-                                            "checksum)"});
-        } else {
-            for (const auto &[name, count] : m.segments) {
-                if (std::find(names.begin(), names.end(), name) ==
-                    names.end()) {
-                    r.manifest_ok = false;
-                    r.issues.push_back(
-                        {"MANIFEST", "lists missing segment " + name});
-                }
-                (void)count;
-            }
-        }
-    }
     return r;
 }
 
@@ -889,109 +749,6 @@ SegmentStore::segmentCount()
         n += sh->segments.size();
     }
     return n;
-}
-
-// --- Manifest ----------------------------------------------------------
-
-bool
-readManifest(const std::string &dir, Manifest &out)
-{
-    std::FILE *f =
-        std::fopen((dir + "/" + SegmentStore::kManifestName).c_str(),
-                   "rb");
-    if (!f)
-        return false;
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
-
-    // The trailer line `end <checksum>` covers every preceding byte; a
-    // torn write (no trailer, or half a line) fails here and the whole
-    // manifest is ignored.
-    const std::size_t tail = text.rfind("\nend ");
-    if (tail == std::string::npos)
-        return false;
-    const std::string body = text.substr(0, tail + 1);
-    unsigned long long recorded = 0;
-    if (std::sscanf(text.c_str() + tail + 5, "%llx", &recorded) != 1)
-        return false;
-    if (fnv1a64(body.data(), body.size()) != recorded)
-        return false;
-
-    Manifest m;
-    std::size_t pos = 0;
-    bool have_magic = false;
-    while (pos < body.size()) {
-        std::size_t eol = body.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = body.size();
-        const std::string line = body.substr(pos, eol - pos);
-        pos = eol + 1;
-        if (line.rfind("SCMF ", 0) == 0) {
-            have_magic = true;
-        } else if (line.rfind("format ", 0) == 0) {
-            m.format = static_cast<std::uint32_t>(
-                std::strtoul(line.c_str() + 7, nullptr, 10));
-        } else if (line.rfind("engine ", 0) == 0) {
-            m.engine = static_cast<std::uint32_t>(
-                std::strtoul(line.c_str() + 7, nullptr, 10));
-        } else if (line.rfind("epoch ", 0) == 0) {
-            m.epoch = std::strtoull(line.c_str() + 6, nullptr, 10);
-        } else if (line.rfind("segment ", 0) == 0) {
-            char name[128];
-            unsigned long long count = 0;
-            if (std::sscanf(line.c_str() + 8, "%127s %llu", name,
-                            &count) == 2)
-                m.segments.emplace_back(name, count);
-        }
-    }
-    if (!have_magic)
-        return false;
-    out = std::move(m);
-    return true;
-}
-
-bool
-writeManifest(const std::string &dir, const Manifest &m)
-{
-    std::string body = "SCMF 1\n";
-    body += "format " + std::to_string(m.format) + "\n";
-    body += "engine " + std::to_string(m.engine) + "\n";
-    body += "epoch " + std::to_string(m.epoch) + "\n";
-    for (const auto &[name, count] : m.segments)
-        body += "segment " + name + " " + std::to_string(count) + "\n";
-    char trailer[32];
-    std::snprintf(trailer, sizeof trailer, "end %016llx\n",
-                  static_cast<unsigned long long>(
-                      fnv1a64(body.data(), body.size())));
-
-    const std::string path =
-        dir + "/" + SegmentStore::kManifestName;
-    const std::string tmp =
-        path + ".tmp." +
-        std::to_string(static_cast<unsigned long>(::getpid()));
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        return false;
-    const bool wrote =
-        std::fwrite(body.data(), 1, body.size(), f) == body.size() &&
-        std::fwrite(trailer, 1, std::strlen(trailer), f) ==
-            std::strlen(trailer);
-    const bool closed = std::fclose(f) == 0;
-    std::error_code ec;
-    if (!wrote || !closed) {
-        fs::remove(tmp, ec);
-        return false;
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        return false;
-    }
-    return true;
 }
 
 } // namespace smartconf::store

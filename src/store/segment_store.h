@@ -21,35 +21,30 @@
  *  - readers discover segments by directory listing (rescanned on a
  *    miss, a seal or a flush when the directory mtime has moved), so
  *    a concurrent writer's published segments become visible without
- *    any coordination;
+ *    any coordination.  The listing is the only record of which
+ *    segments are live;
  *  - compaction merges a shard's sealed segments into one sorted
  *    higher-level segment (external-merge over the already-sorted
- *    indexes), publishes it by rename, atomically swaps the MANIFEST,
- *    and only then unlinks the inputs.  A reader races this safely:
- *    either it still holds the old fds (POSIX keeps the bytes alive),
- *    or its listing sees the merged segment; duplicate coverage during
- *    the swap window is harmless because entries are pure values and
- *    lookups stop at the newest match.
- *
- * The MANIFEST is advisory bookkeeping (epoch, live-segment list with
- * expected record counts) used by `verify` and `stats`; a torn or
- * missing manifest never blocks reads — the directory listing is the
- * source of truth.
+ *    indexes), publishes it by rename, and only then unlinks the
+ *    inputs.  A reader races this safely: either it still holds the
+ *    old fds (POSIX keeps the bytes alive), or its listing sees the
+ *    merged segment; duplicate coverage during the swap window is
+ *    harmless because entries are pure values and lookups stop at the
+ *    newest match.
  *
  * Thread safety: all public methods are safe to call concurrently;
  * per-shard mutexes guard pending buffers and segment lists, a store
- * mutex guards scans and the manifest.  An optional background thread
- * compacts shards whose segment count crosses a threshold.
+ * mutex guards scans.  The store starts no thread: with `auto_compact`
+ * set, flush() merges every shard holding kCompactMinSegments or more
+ * segments on the calling thread.
  */
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -75,16 +70,12 @@ struct OpenSegment
 /** Aggregate counters; all monotonically increasing per instance. */
 struct StoreStats
 {
-    std::uint64_t puts = 0;
-    std::uint64_t put_bytes = 0;
     std::uint64_t gets = 0;
     std::uint64_t hits = 0;
     std::uint64_t reads = 0;      ///< payload preads served
     std::uint64_t read_bytes = 0; ///< payload bytes pread
     std::uint64_t segments_opened = 0;
     std::uint64_t segments_published = 0;
-    std::uint64_t compactions = 0;
-    std::uint64_t compacted_segments_in = 0;
     std::uint64_t rescans = 0;
     std::uint64_t pending_entries = 0; ///< snapshot, not monotonic
 };
@@ -101,7 +92,7 @@ struct CompactionResult
 
 struct VerifyIssue
 {
-    std::string segment; ///< file name, or "MANIFEST"
+    std::string segment; ///< file name
     std::string what;
 };
 
@@ -111,13 +102,11 @@ struct VerifyResult
     std::size_t segments_corrupt = 0;
     std::uint64_t entries_ok = 0;
     std::uint64_t entries_corrupt = 0;
-    bool manifest_ok = true;
     std::vector<VerifyIssue> issues;
 
     bool clean() const
     {
-        return segments_corrupt == 0 && entries_corrupt == 0 &&
-               manifest_ok;
+        return segments_corrupt == 0 && entries_corrupt == 0;
     }
 };
 
@@ -139,9 +128,7 @@ class SegmentStore
     {
         std::size_t shard_count = 16; ///< power of two (rounded up), <= 256
         std::size_t flush_entries = 256; ///< per-shard seal threshold
-        std::size_t flush_bytes = 4u << 20;
-        bool auto_compact = true; ///< background thread
-        std::size_t compact_min_segments = 8; ///< per shard
+        bool auto_compact = true; ///< flush() merges full shards
         std::uint32_t format = 0;
         std::uint32_t engine = 0;
     };
@@ -153,27 +140,25 @@ class SegmentStore
      */
     explicit SegmentStore(std::string dir);
     SegmentStore(std::string dir, Options opts);
-    ~SegmentStore(); ///< flushes pending entries, joins compaction
+    ~SegmentStore(); ///< flushes (and so may compact) pending entries
+
+    /** Segments in one shard at which an auto_compact flush merges it. */
+    static constexpr std::size_t kCompactMinSegments = 8;
 
     SegmentStore(const SegmentStore &) = delete;
     SegmentStore &operator=(const SegmentStore &) = delete;
 
     /**
-     * Buffer @p payload under @p key.  @p payload_checksum is the
-     * caller's whole-payload checksum (DiskRunCache::checksum64) and
-     * is verified again on every read.  Seals and publishes the
-     * shard's segment when the pending buffer crosses the flush
-     * threshold.  @return false when sealing was required and failed
-     * (unwritable directory).
-     */
-    bool put(const std::string &key, const void *payload,
-             std::size_t payload_len, std::uint64_t payload_checksum);
-
-    /**
-     * Same, taking ownership of @p payload: the bytes move into the
-     * pending buffer uncopied.  A put that does not seal makes no
-     * system call; a seal first rescans the directory, so the sealed
-     * segment's seq tops every segment already published.
+     * Buffer @p payload under @p key; the bytes move into the pending
+     * buffer uncopied.  @p payload_checksum is the caller's
+     * whole-payload checksum (DiskRunCache::checksum64) and is
+     * verified again on every read.  Seals and publishes the shard's
+     * segment when the pending buffer crosses the flush threshold; a
+     * put that does not seal makes no system call, and a seal first
+     * rescans the directory, so the sealed segment's seq tops every
+     * segment already published.  A put never compacts.
+     * @return false when sealing was required and failed (unwritable
+     *         directory).
      */
     bool put(const std::string &key, std::vector<char> &&payload,
              std::uint64_t payload_checksum);
@@ -189,13 +174,18 @@ class SegmentStore
      */
     bool get(const std::string &key, std::vector<char> &out);
 
-    /** Publish every shard's pending entries as sealed segments. */
+    /**
+     * Publish every shard's pending entries as sealed segments.  With
+     * `auto_compact`, then merge (on this thread) every shard holding
+     * kCompactMinSegments or more segments, pending entries or not.
+     * @return false when a seal failed.
+     */
     bool flush();
 
     /** Synchronously merge every shard with more than one segment. */
     CompactionResult compact();
 
-    /** Full-store scan: headers, indexes, records, manifest. */
+    /** Full-store scan: headers, indexes, records. */
     VerifyResult verify();
 
     /**
@@ -217,8 +207,6 @@ class SegmentStore
 
     /** Parse `|s=<N>` from a run-cache key. @return validity. */
     static bool seedOfKey(const std::string &key, std::uint64_t &seed);
-
-    static constexpr const char *kManifestName = "MANIFEST";
 
   private:
     struct Shard
@@ -250,9 +238,7 @@ class SegmentStore
     void rescanLocked();
     bool lookupSegments(const std::string &key, std::uint64_t hash,
                         Shard &sh, std::vector<char> &out);
-    void writeManifestLocked();
-    void kickCompactor();
-    void compactionLoop();
+    CompactionResult compactShards(std::size_t min_segments);
     bool compactShard(std::uint32_t shard_id, CompactionResult &agg);
     std::uint64_t nextSeq() { return seq_.fetch_add(1) + 1; }
 
@@ -260,38 +246,14 @@ class SegmentStore
     Options opts_;
     std::vector<std::unique_ptr<Shard>> shards_;
 
-    mutable std::mutex store_mu_; ///< scan state + manifest + seq floor
+    mutable std::mutex store_mu_; ///< scan state + seq floor
     bool scanned_ = false;
     std::int64_t last_scan_stamp_ = -1;
-    std::uint64_t manifest_epoch_ = 0;
     std::atomic<std::uint64_t> seq_{0};
 
     mutable std::mutex stats_mu_;
     StoreStats stats_;
-
-    // Background compaction.
-    std::thread compactor_;
-    std::mutex compact_mu_;
-    std::condition_variable compact_cv_;
-    bool compact_wanted_ = false;
-    bool stopping_ = false;
 };
-
-/**
- * Manifest IO (exposed for tests and smartconfctl).  The manifest is
- * line-oriented text ending in `end <fnv1a64-of-preceding-bytes>`; a
- * missing or mismatching trailer marks it torn and it is ignored.
- */
-struct Manifest
-{
-    std::uint32_t format = 0;
-    std::uint32_t engine = 0;
-    std::uint64_t epoch = 0;
-    std::vector<std::pair<std::string, std::uint64_t>> segments;
-};
-
-bool readManifest(const std::string &dir, Manifest &out);
-bool writeManifest(const std::string &dir, const Manifest &m);
 
 } // namespace smartconf::store
 

@@ -23,7 +23,7 @@
 
 #include "exec/disk_cache.h"
 #include "exec/run_cache.h"
-#include "fault/cache_faults.h"
+#include "support/cache_faults.h"
 #include "scenarios/scenario.h"
 #include "sim/metrics.h"
 #include "sim/rng.h"
@@ -227,7 +227,7 @@ TEST_F(DiskRunCacheTest, RunCacheSpillsAndReloadsAcrossInstances)
     EXPECT_EQ(second.stats().hits, 1u);
 }
 
-// --- Fault-path coverage (injected via fault/cache_faults.h) -----------
+// --- Fault-path coverage (injected via support/cache_faults.h) ---------
 //
 // The cache's two promises under corruption:
 //   1. any damaged entry degrades to a MISS, never a wrong series;
@@ -412,7 +412,7 @@ TEST_F(DiskRunCacheTest, DetachStopsSpilling)
     cache.attachDiskCache(root_);
     cache.attachDiskCache("");
     (void)cache.getOrRun("k", [] {
-        return scenarios::ScenarioResult{};
+        return scenarios::ScenarioResult();
     });
     EXPECT_EQ(cache.stats().disk_stores, 0u);
     EXPECT_FALSE(fs::exists(root_));

@@ -74,8 +74,8 @@ TEST(SweepDeterminism, Jobs1AndJobs8BitIdenticalForAllSixScenarios)
 {
     const std::vector<SweepJob> jobs = allScenarioJobs();
 
-    SweepRunner serial(SweepOptions{1, true});
-    SweepRunner parallel(SweepOptions{8, true});
+    SweepRunner serial(SweepOptions{1, true, {}});
+    SweepRunner parallel(SweepOptions{8, true, {}});
     EXPECT_EQ(serial.jobs(), 1u);
     EXPECT_EQ(parallel.jobs(), 8u);
 
@@ -109,7 +109,7 @@ TEST(SweepDeterminism, JobsMatrixBitIdentical)
             smartconf::fault::ChaosSpec::kitchenSink(7)),
         1));
 
-    SweepRunner base(SweepOptions{1, true});
+    SweepRunner base(SweepOptions{1, true, {}});
     const std::vector<ScenarioResult> ref = base.run(jobs);
     ASSERT_EQ(ref.size(), jobs.size());
 
@@ -132,7 +132,7 @@ TEST(SweepDeterminism, ShardOpsSumMatchesOpsSimulated)
     // The per-shard counters partition the generated workload: lanes
     // sum to the run's ops_simulated for every generator-driven
     // scenario (MR2820 counts completed tasks on both sides too).
-    SweepRunner runner(SweepOptions{1, true});
+    SweepRunner runner(SweepOptions{1, true, {}});
     for (const char *id : {"HB3813", "HB6728", "HB2149", "CA6059",
                            "HD4995", "MR2820"}) {
         const ScenarioResult r = runner.runOne(SweepJob::forScenario(
@@ -198,7 +198,7 @@ TEST(SweepDeterminism, ResultBytesPinnedForEveryPolicyFamily)
 TEST(SweepDeterminism, ReplayOnWarmCacheIsAllHitsAndIdentical)
 {
     const std::vector<SweepJob> jobs = allScenarioJobs();
-    SweepRunner runner(SweepOptions{4, true});
+    SweepRunner runner(SweepOptions{4, true, {}});
 
     const std::vector<ScenarioResult> first = runner.run(jobs);
     const std::vector<ScenarioResult> second = runner.run(jobs);
@@ -222,7 +222,7 @@ TEST(SweepDeterminism, ResultsArriveInSubmissionOrder)
             return r;
         }));
 
-    SweepRunner runner(SweepOptions{8, true});
+    SweepRunner runner(SweepOptions{8, true, {}});
     const std::vector<ScenarioResult> out = runner.run(jobs);
     ASSERT_EQ(out.size(), jobs.size());
     for (int i = 0; i < 8; ++i)
@@ -236,7 +236,7 @@ TEST(SweepDeterminism, DuplicateJobsSimulateOnce)
         jobs.push_back(
             SweepJob::forScenario("HB3813", Policy::smart(), 1));
 
-    SweepRunner runner(SweepOptions{4, true});
+    SweepRunner runner(SweepOptions{4, true, {}});
     const std::vector<ScenarioResult> out = runner.run(jobs);
     EXPECT_EQ(runner.cache().stats().misses, 1u);
     EXPECT_EQ(runner.cache().stats().hits, 5u);
@@ -256,9 +256,9 @@ TEST(SweepDeterminism, JobExceptionPropagatesFromRun)
         throw std::runtime_error("job failed");
     }));
 
-    SweepRunner serial(SweepOptions{1, true});
+    SweepRunner serial(SweepOptions{1, true, {}});
     EXPECT_THROW(serial.run(jobs), std::runtime_error);
-    SweepRunner parallel(SweepOptions{4, true});
+    SweepRunner parallel(SweepOptions{4, true, {}});
     EXPECT_THROW(parallel.run(jobs), std::runtime_error);
 
     // The throwing job first, then a keyed one: the keyed job still
@@ -288,7 +288,7 @@ TEST(SweepDeterminism, JobExceptionPropagatesFromRun)
 
 TEST(SweepDeterminism, UnknownScenarioIdThrows)
 {
-    SweepRunner runner(SweepOptions{1, true});
+    SweepRunner runner(SweepOptions{1, true, {}});
     EXPECT_THROW(runner.run({SweepJob::forScenario(
                      "NOPE", Policy::smart(), 1)}),
                  std::invalid_argument);

@@ -1,7 +1,7 @@
 /**
  * @file Degenerate-profile verdicts.
  *
- * Each generator in fault/profile_faults.h manufactures one failure
+ * Each generator in support/profile_faults.h manufactures one failure
  * *shape*; these tests pin the synthesis verdict for each: the profiler
  * must say "insufficient" (or flag non-monotonicity / a flat gain)
  * instead of silently emitting the most aggressive controller possible.
@@ -13,7 +13,7 @@
 
 #include "core/pole.h"
 #include "core/profiler.h"
-#include "fault/profile_faults.h"
+#include "support/profile_faults.h"
 
 namespace smartconf::fault {
 namespace {

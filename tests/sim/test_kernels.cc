@@ -135,8 +135,9 @@ TEST(Kernels, SetIsaClampsToDetectedAndReportsActive)
     for (simd::Isa isa : kAllLevels) {
         const simd::Isa got = kernels::setIsa(isa);
         EXPECT_LE(static_cast<int>(got), static_cast<int>(ceiling));
-        if (simd::supported(isa))
+        if (simd::supported(isa)) {
             EXPECT_EQ(got, isa);
+        }
         EXPECT_EQ(kernels::activeIsa(), got);
     }
     kernels::setIsa(simd::detected());

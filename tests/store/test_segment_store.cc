@@ -2,16 +2,16 @@
  * @file
  * SegmentStore unit coverage: the segment format itself, put/get
  * round-trips, sealing thresholds, rescan-based cross-instance
- * visibility, compaction (dedup, level bump, input unlinking),
- * manifest atomicity, verify, and the corruption contract at segment
- * granularity (torn tail, flipped index page, forged hash collision).
+ * visibility, compaction (dedup, level bump, input unlinking, the
+ * flush-time threshold), verify, and the corruption contract at
+ * segment granularity (torn tail, flipped index page, forged hash
+ * collision).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -19,7 +19,7 @@
 #include <thread>
 #include <vector>
 
-#include "fault/cache_faults.h"
+#include "support/cache_faults.h"
 #include "store/query.h"
 #include "store/segment.h"
 #include "store/segment_store.h"
@@ -65,7 +65,8 @@ class SegmentStoreTest : public ::testing::Test
     static bool putStr(SegmentStore &s, const std::string &key,
                        const std::string &payload)
     {
-        return s.put(key, payload.data(), payload.size(),
+        return s.put(key,
+                     std::vector<char>(payload.begin(), payload.end()),
                      blockChecksum(payload.data(), payload.size()));
     }
 
@@ -312,27 +313,32 @@ TEST_F(SegmentStoreTest, CompactionMergesDedupsAndUnlinksInputs)
     EXPECT_EQ(std::string(out.begin(), out.end()), payloadFor(300));
 }
 
-TEST_F(SegmentStoreTest, BackgroundCompactionTriggersAtThreshold)
+TEST_F(SegmentStoreTest, FlushCompactsAShardAtTheThreshold)
 {
+    static_assert(SegmentStore::kCompactMinSegments == 8);
     SegmentStore::Options o;
-    o.flush_entries = 1;
-    o.compact_min_segments = 4;
-    o.auto_compact = true;
-    o.shard_count = 1; // all keys in one shard: threshold is exact
+    o.flush_entries = 1; // every put seals its own segment
+    o.shard_count = 1;   // all keys in one shard: threshold is exact
+    ASSERT_TRUE(o.auto_compact);
     SegmentStore s(dir_, o);
-    for (int i = 0; i < 12; ++i)
+    // Below the threshold a flush merges nothing.
+    for (int i = 0; i < 7; ++i)
         ASSERT_TRUE(putStr(s, keyFor(i), payloadFor(i)));
-    // The background thread owes us at least one merge; poll briefly.
-    bool compacted = false;
-    for (int spin = 0; spin < 200 && !compacted; ++spin) {
-        compacted = s.stats().compactions > 0;
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    EXPECT_TRUE(compacted);
-    for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(s.flush());
+    EXPECT_EQ(s.segmentCount(), 7u);
+    // A sealing put never merges, even when it reaches the threshold.
+    ASSERT_TRUE(putStr(s, keyFor(7), payloadFor(7)));
+    EXPECT_EQ(s.segmentCount(), 8u);
+    // A flush with nothing pending still merges the full shard.
+    ASSERT_EQ(s.stats().pending_entries, 0u);
+    ASSERT_TRUE(s.flush());
+    EXPECT_EQ(s.segmentCount(), 1u);
+    for (int i = 0; i < 8; ++i) {
         std::vector<char> out;
         ASSERT_TRUE(s.get(keyFor(i), out)) << keyFor(i);
+        EXPECT_EQ(std::string(out.begin(), out.end()), payloadFor(i));
     }
+    EXPECT_TRUE(s.verify().clean());
 }
 
 TEST_F(SegmentStoreTest, CompactionRacingReadersNeverDropsAnEntry)
@@ -427,53 +433,45 @@ TEST_F(SegmentStoreTest, FlippedIndexPageRejectsWholeSegment)
     EXPECT_FALSE(v.clean());
 }
 
-TEST_F(SegmentStoreTest, TornManifestIsIgnoredReadsStillWork)
+TEST_F(SegmentStoreTest, FilesThatAreNotSegmentsAreSkippedAndKept)
 {
+    // The directory listing is the only record of live segments.  A
+    // file whose name does not parse as a segment (bookkeeping an older
+    // build wrote, a temp file a crash left) is neither read nor
+    // deleted, and does not disturb lookups, verify or compaction.
+    SegmentStore::Options one = quiet(64);
+    one.shard_count = 1;
     {
-        SegmentStore w(dir_, quiet(4));
-        for (int i = 0; i < 8; ++i)
+        SegmentStore w(dir_, one);
+        for (int i = 0; i < 8; ++i) {
             ASSERT_TRUE(putStr(w, keyFor(i), payloadFor(i)));
-        ASSERT_TRUE(w.flush());
+            if (i % 4 == 3) {
+                ASSERT_TRUE(w.flush()); // two segments
+            }
+        }
     }
-    ASSERT_TRUE(fault::tearManifest(dir_));
-    Manifest m;
-    EXPECT_FALSE(readManifest(dir_, m)) << "torn manifest parsed";
-
-    // The listing is the source of truth: every entry still readable.
-    SegmentStore r(dir_, quiet());
+    const std::vector<std::string> strays = {
+        dir_ + "/LEFTOVER", dir_ + "/seg-00-0000000000000009-1.seg.tmp"};
+    for (const std::string &path : strays) {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fputs("not a segment\n", f);
+        ASSERT_EQ(std::fclose(f), 0);
+    }
+    SegmentStore r(dir_, one);
     std::vector<char> out;
-    for (int i = 0; i < 8; ++i)
+    for (int i = 0; i < 8; ++i) {
         ASSERT_TRUE(r.get(keyFor(i), out)) << keyFor(i);
-    // verify() reports the tear...
-    VerifyResult v = r.verify();
-    EXPECT_FALSE(v.manifest_ok);
-    // ...and the next publish rewrites a good manifest.
-    ASSERT_TRUE(putStr(r, "k-repair", "x"));
-    ASSERT_TRUE(r.flush());
-    EXPECT_TRUE(readManifest(dir_, m));
-    EXPECT_TRUE(r.verify().manifest_ok);
-}
-
-TEST_F(SegmentStoreTest, ManifestRoundTripsAndRejectsTampering)
-{
-    fs::create_directories(dir_);
-    Manifest m;
-    m.format = 6;
-    m.engine = 5;
-    m.epoch = 42;
-    m.segments.emplace_back("seg-00-0000000000000001-1.seg", 10);
-    ASSERT_TRUE(writeManifest(dir_, m));
-    Manifest back;
-    ASSERT_TRUE(readManifest(dir_, back));
-    EXPECT_EQ(back.format, 6u);
-    EXPECT_EQ(back.engine, 5u);
-    EXPECT_EQ(back.epoch, 42u);
-    ASSERT_EQ(back.segments.size(), 1u);
-    EXPECT_EQ(back.segments[0].second, 10u);
-
-    // Flip one body byte: the trailer checksum must reject the file.
-    ASSERT_TRUE(fault::flipBit(dir_ + "/MANIFEST", 3, 0));
-    EXPECT_FALSE(readManifest(dir_, back));
+        EXPECT_EQ(std::string(out.begin(), out.end()), payloadFor(i));
+    }
+    const VerifyResult v = r.verify();
+    EXPECT_TRUE(v.clean());
+    EXPECT_EQ(v.segments_ok, 2u);
+    EXPECT_EQ(v.entries_ok, 8u);
+    ASSERT_EQ(r.compact().segments_in, 2u);
+    EXPECT_EQ(r.segmentCount(), 1u);
+    for (const std::string &path : strays)
+        EXPECT_TRUE(fs::exists(path)) << path;
 }
 
 TEST_F(SegmentStoreTest, ForgedHashCollisionStillMissesOnFullKey)
@@ -548,7 +546,7 @@ TEST_F(SegmentStoreTest, ConcurrentPutsAndGetsKeepEveryEntry)
                 const int id = t * kPerThread + i;
                 const std::string p = payloadFor(id);
                 ASSERT_TRUE(s.put("w|p|s=" + std::to_string(id),
-                                  p.data(), p.size(),
+                                  std::vector<char>(p.begin(), p.end()),
                                   blockChecksum(p.data(), p.size())));
             }
         });

@@ -97,7 +97,8 @@ TEST_F(StoreMultiProcessTest, NWritersMReadersOneStore)
             SegmentStore s(dir_, quiet());
             for (int i = 0; i < kPerWriter; ++i) {
                 const std::string p = payloadFor(w, i);
-                if (!s.put(keyFor(w, i), p.data(), p.size(),
+                if (!s.put(keyFor(w, i),
+                           std::vector<char>(p.begin(), p.end()),
                            blockChecksum(p.data(), p.size())))
                     return 10;
             }
@@ -143,14 +144,16 @@ TEST_F(StoreMultiProcessTest, CompactionInOneProcessRacesAReader)
         SegmentStore w(dir_, quiet(2)); // many small segments
         for (int i = 0; i < kKeys; ++i) {
             const std::string p = payloadFor(0, i);
-            ASSERT_TRUE(w.put(keyFor(0, i), p.data(), p.size(),
+            ASSERT_TRUE(w.put(keyFor(0, i),
+                              std::vector<char>(p.begin(), p.end()),
                               blockChecksum(p.data(), p.size())));
         }
         ASSERT_TRUE(w.flush());
         // Duplicate generation so compaction has something to dedup.
         for (int i = 0; i < kKeys; ++i) {
             const std::string p = payloadFor(0, i);
-            ASSERT_TRUE(w.put(keyFor(0, i), p.data(), p.size(),
+            ASSERT_TRUE(w.put(keyFor(0, i),
+                              std::vector<char>(p.begin(), p.end()),
                               blockChecksum(p.data(), p.size())));
         }
         ASSERT_TRUE(w.flush());
@@ -197,7 +200,8 @@ TEST_F(StoreMultiProcessTest, ConcurrentWritersNeverCollideOnSegmentNames)
             SegmentStore s(dir_, quiet(1)); // one segment per put
             for (int i = 0; i < 12; ++i) {
                 const std::string p = payloadFor(w, i);
-                if (!s.put(keyFor(w, i), p.data(), p.size(),
+                if (!s.put(keyFor(w, i),
+                           std::vector<char>(p.begin(), p.end()),
                            blockChecksum(p.data(), p.size())))
                     return 40;
             }

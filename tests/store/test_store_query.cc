@@ -49,7 +49,9 @@ class StoreQueryTest : public ::testing::Test
     static void put(SegmentStore &s, const std::string &key)
     {
         const std::string payload = "p:" + key;
-        ASSERT_TRUE(s.put(key, payload.data(), payload.size(),
+        ASSERT_TRUE(s.put(key,
+                          std::vector<char>(payload.begin(),
+                                            payload.end()),
                           blockChecksum(payload.data(),
                                         payload.size())));
     }
@@ -155,9 +157,11 @@ TEST_F(StoreQueryTest, QuerySeesPendingEntriesAndDedupsSuperseded)
     const std::vector<QueryRow> rows = queryStore(s, QueryFilter{});
     EXPECT_EQ(rows.size(), 2u) << "duplicate key leaked into results";
     // s=1 must come from the pending buffer (newest wins).
-    for (const QueryRow &r : rows)
-        if (r.seed == 1)
+    for (const QueryRow &r : rows) {
+        if (r.seed == 1) {
             EXPECT_TRUE(r.segment.empty());
+        }
+    }
 }
 
 TEST_F(StoreQueryTest, QuerySurvivesCompaction)

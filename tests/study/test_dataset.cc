@@ -73,8 +73,9 @@ TEST(Dataset, MultiMetricCountMatchesPaper)
 TEST(Dataset, CoarseMultiImpliesMultiFlag)
 {
     for (const auto &issue : ds().issues()) {
-        if (issue.coarseMetricCount() >= 2)
+        if (issue.coarseMetricCount() >= 2) {
             EXPECT_TRUE(issue.multi_metric) << issue.id;
+        }
     }
 }
 

@@ -15,6 +15,7 @@
  *     (the paper reports a JVM crash at ~36 s).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -87,30 +88,34 @@ main(int argc, char **argv)
     std::printf("%8s | %14s %14s %14s   (used memory, MB)\n", "time(s)",
                 runs[0].name, runs[1].name, runs[2].name);
     std::printf("%s\n", std::string(70, '-').c_str());
-    const auto a = runs[0].result.perf_series.downsampleMax(18);
-    const auto b = runs[1].result.perf_series.downsampleMax(18);
-    const auto c = runs[2].result.perf_series.downsampleMax(18);
-    auto cell = [](const std::vector<smartconf::sim::TimeSeries::Point>
-                       &v, std::size_t i, double t) {
-        // A crashed run's series simply ends early.
-        if (i < v.size() && v[i].tick <= t + 100)
-            return v[i].value;
-        return -1.0;
+    // Rows are SmartConf's down-sampled points.  Every run records its
+    // used memory each tick until it ends, so each column shows that
+    // run's reading at the row's tick, or "(dead)" once the run ended
+    // (an OOM stops it early).
+    using Point = smartconf::sim::TimeSeries::Point;
+    auto at = [](const smartconf::sim::TimeSeries &s,
+                 smartconf::sim::Tick t) {
+        const std::vector<Point> &p = s.points();
+        if (p.empty() || t > p.back().tick)
+            return -1.0;
+        const auto it = std::lower_bound(
+            p.begin(), p.end(), t,
+            [](const Point &q, smartconf::sim::Tick x) {
+                return q.tick < x;
+            });
+        return it->value;
     };
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const double t = static_cast<double>(a[i].tick);
-        const double vb = cell(b, i, t), vc = cell(c, i, t);
-        std::printf("%8.1f | %14.1f ", t / 10.0, a[i].value);
-        if (vb >= 0.0)
-            std::printf("%14.1f ", vb);
-        else
-            std::printf("%14s ", "(dead)");
-        if (vc >= 0.0)
-            std::printf("%14.1f\n", vc);
-        else
-            std::printf("%14s\n", "(dead)");
+    for (const Point &row : runs[0].result.perf_series.downsampleMax(18)) {
+        std::printf("%8.1f |", static_cast<double>(row.tick) / 10.0);
+        for (const Run &r : runs) {
+            const double v = at(r.result.perf_series, row.tick);
+            if (v >= 0.0)
+                std::printf(" %14.1f", v);
+            else
+                std::printf(" %14s", "(dead)");
+        }
+        std::printf("\n");
     }
-
     std::printf("\n%-18s %6s %12s %12s %14s\n", "controller", "OOM?",
                 "crash t(s)", "worst MB", "ops/s");
     for (const Run &r : runs) {

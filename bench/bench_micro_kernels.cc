@@ -108,7 +108,7 @@ main(int argc, char **argv)
                 rng.fillRaw(scratch.data(), kWords);
             }));
         // End-to-end Zipfian draw (fillRaw + aliasResolve), the shape
-        // the workload generators actually use per tick.
+        // the fleet's per-epoch traffic draw uses.
         set(rows[1], nsPerElement(kWords, 400, [&] {
                 table->sampleBatch(rng, scratch.data(), kWords);
             }));

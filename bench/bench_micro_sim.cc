@@ -2,20 +2,25 @@
  * @file
  * Microbenchmarks for the simulation substrate (google-benchmark).
  *
- * Every YCSB-driven figure, ablation, and sweep in this repo runs
- * through the Zipfian hot paths measured here — the micro-level
- * counterpart to bench_micro_controller.
+ * The Zipfian draw is the fleet's per-epoch traffic path; the
+ * per-tick generator benches are the workload layer of every sweep,
+ * measured without running one — the micro-level counterpart to
+ * bench_micro_controller.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "sim/rng.h"
+#include "workload/sharded.h"
 
 namespace {
 
 using namespace smartconf;
 
-/** Zipfian draw with the shared zeta table warm (the YCSB key path). */
+/** Zipfian draw with the shared zeta table warm (the fleet's traffic
+ *  path). */
 void
 BM_ZipfianDraw(benchmark::State &state)
 {
@@ -28,7 +33,7 @@ BM_ZipfianDraw(benchmark::State &state)
 BENCHMARK(BM_ZipfianDraw);
 
 /** Zipfian construction with the process-wide zeta cache warm: what
- *  every YcsbGenerator after the first pays. */
+ *  every fleet run after the first pays. */
 void
 BM_ZipfianConstructCached(benchmark::State &state)
 {
@@ -40,6 +45,41 @@ BM_ZipfianConstructCached(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ZipfianConstructCached);
+
+/**
+ * One ShardedYcsbGenerator tick at a mean of range(0) ops: 4 and 10
+ * are the kvstore plants' rates (CA6059, HB3813, HB6728), 380 a
+ * multi-block tick.  Reported per op.
+ */
+void
+BM_ShardedYcsbTick(benchmark::State &state)
+{
+    workload::YcsbParams p;
+    p.ops_per_tick = static_cast<double>(state.range(0));
+    workload::ShardedYcsbGenerator gen(p, sim::Rng(7));
+    std::vector<workload::Op> ops;
+    for (auto _ : state) {
+        gen.tickInto(ops);
+        benchmark::DoNotOptimize(ops.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(gen.generated()));
+}
+BENCHMARK(BM_ShardedYcsbTick)->Arg(4)->Arg(10)->Arg(380);
+
+/** One ShardedDfsioGenerator tick at HD4995's 30 writes, du every 300
+ *  ticks.  Reported per request. */
+void
+BM_ShardedDfsioTick(benchmark::State &state)
+{
+    workload::DfsioParams p;
+    p.writes_per_tick = 30.0;
+    workload::ShardedDfsioGenerator gen(p, sim::Rng(7));
+    sim::Tick t = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(gen.tick(t++));
+    state.SetItemsProcessed(static_cast<std::int64_t>(gen.generated()));
+}
+BENCHMARK(BM_ShardedDfsioTick);
 
 } // namespace
 

@@ -56,10 +56,12 @@ SmartConf::adjust()
 
     st.current = st.controller->update(st.last_perf, st.current);
     if (st.controller->saturated()) {
-        runtime_.raiseAlert(
-            st, "goal '" + st.entry.metric +
-                    "' appears unreachable: configuration pinned at " +
-                    std::to_string(st.current));
+        // One alert per episode: build the text only when it fires.
+        if (!st.alerted)
+            runtime_.raiseAlert(
+                st, "goal '" + st.entry.metric +
+                        "' appears unreachable: configuration pinned "
+                        "at " + std::to_string(st.current));
     } else {
         st.alerted = false;
     }
@@ -134,10 +136,11 @@ SmartConfI::adjustIndirect()
     st.current = std::clamp(conf, st.entry.confMin, st.entry.confMax);
 
     if (st.controller->saturated()) {
-        runtime_.raiseAlert(
-            st, "goal '" + st.entry.metric +
-                    "' appears unreachable: deputy pinned at " +
-                    std::to_string(desired_deputy));
+        if (!st.alerted)
+            runtime_.raiseAlert(
+                st, "goal '" + st.entry.metric +
+                        "' appears unreachable: deputy pinned at " +
+                        std::to_string(desired_deputy));
     } else {
         st.alerted = false;
     }

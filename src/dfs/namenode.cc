@@ -12,24 +12,19 @@ Namenode::Namenode(const NamenodeParams &params,
 {}
 
 void
-Namenode::submitAll(const std::vector<workload::DfsRequest> &reqs,
-                    sim::Tick now)
+Namenode::submit(std::uint64_t writes,
+                 std::optional<std::uint64_t> du_files, sim::Tick now)
 {
-    std::uint64_t writes = 0;
-    for (const auto &req : reqs) {
-        if (req.type == workload::DfsRequest::Type::WriteFile) {
-            ++writes;
-        } else if (!du_) {
-            // A du takes the lock on arrival; while it runs, further
-            // du commands are dropped.
-            DuJob job;
-            job.total = req.file_count;
-            job.remaining = req.file_count;
-            job.submitted = now;
-            job.holds_lock = true;
-            job.acquired_at = now;
-            du_ = job;
-        }
+    if (du_files && !du_) {
+        // A du takes the lock on arrival; while it runs, further du
+        // commands are dropped.
+        DuJob job;
+        job.total = *du_files;
+        job.remaining = *du_files;
+        job.submitted = now;
+        job.holds_lock = true;
+        job.acquired_at = now;
+        du_ = job;
     }
     if (writes == 0)
         return;

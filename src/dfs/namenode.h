@@ -22,9 +22,10 @@
  * traversal rate to get the file-count limit.
  *
  * The namespace itself is not modelled.  A du carries the size of the
- * subtree it summarises (DfsRequest::file_count), and a write is only
- * a unit of lock demand: the namenode tracks the lock, the blocked
- * writes and the running du, which is all the HD4995 controller sees.
+ * subtree it summarises, and a write is only a unit of lock demand, so
+ * a tick's arrivals are a write count and an optional du: the namenode
+ * tracks the lock, the blocked writes and the running du, which is all
+ * the HD4995 controller sees.
  */
 
 #include <cstdint>
@@ -33,7 +34,6 @@
 #include <vector>
 
 #include "sim/clock.h"
-#include "workload/dfsio.h"
 
 namespace smartconf::dfs {
 
@@ -62,13 +62,13 @@ class Namenode
     Namenode(const NamenodeParams &params, std::uint64_t summary_limit);
 
     /**
-     * Submit the requests arriving at @p now.  The writes join the
-     * blocked-write queue as one batch; a du starts summarising its
-     * request's file_count at once, unless another du is still running
-     * (one admin du at a time: the extra command is dropped).
+     * Submit the arrivals at @p now: @p writes client writes join the
+     * blocked-write queue as one batch, and a du over @p du_files files
+     * starts at once, unless another du is still running (one admin du
+     * at a time: the extra command is dropped).
      */
-    void submitAll(const std::vector<workload::DfsRequest> &reqs,
-                   sim::Tick now);
+    void submit(std::uint64_t writes,
+                std::optional<std::uint64_t> du_files, sim::Tick now);
 
     /** Advance one tick: du traversal or write service. */
     void step(sim::Tick now);

@@ -129,10 +129,9 @@ Hd4995Scenario::profile(std::uint64_t seed) const
         double pending_hold = -1.0;
         const double full_hold =
             setting / opts_.traversal_files_per_tick;
-        std::vector<workload::DfsRequest> reqs; ///< reused buffer
         for (sim::Tick t = 0; samples < 10; ++t) {
-            gen.tickInto(t, reqs);
-            nn.submitAll(reqs, t);
+            const workload::DfsioTick arrivals = gen.tick(t);
+            nn.submit(arrivals.writes, arrivals.du_files, t);
             nn.step(t);
             if (nn.chunksCompleted() > chunks_seen) {
                 chunks_seen = nn.chunksCompleted();
@@ -197,7 +196,6 @@ Hd4995Scenario::run(const Policy &policy, std::uint64_t seed) const
     double prev_hold = -1.0;
     std::uint64_t chunks_seen = 0;
     std::size_t du_seen = 0;
-    std::vector<workload::DfsRequest> reqs; ///< reused arrival buffer
 
     for (sim::Tick t = 0; t < opts_.total_ticks; ++t) {
         if (!goal_changed && t >= opts_.phase1_ticks) {
@@ -216,8 +214,8 @@ Hd4995Scenario::run(const Policy &policy, std::uint64_t seed) const
             }
         }
 
-        gen.tickInto(t, reqs);
-        nn.submitAll(reqs, t);
+        const workload::DfsioTick arrivals = gen.tick(t);
+        nn.submit(arrivals.writes, arrivals.du_files, t);
         nn.step(t);
 
         // Conditional control: invoked per completed du chunk.  The

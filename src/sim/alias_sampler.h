@@ -6,8 +6,8 @@
  * Walker/Vose alias-table sampling for finite discrete distributions.
  *
  * The Gray et al. Zipfian sampler pays ~2 pow() calls per draw; at the
- * YCSB arrival rates the sweep simulates that is the single largest
- * per-op cost left in the data plane.  An alias table answers the same
+ * fleet's per-epoch traffic volume that would be its largest per-draw
+ * cost.  An alias table answers the same
  * draw in O(1) with one PRNG word, one multiply, one table load and one
  * compare — no transcendentals.
  *

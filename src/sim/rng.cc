@@ -69,7 +69,8 @@ Rng::gaussian(double mean, double stddev)
     }
     // Inline next() twice instead of fillRaw(w, 2): same words, but a
     // single-pair draw doesn't amortize the batch path's two dispatch
-    // hops (per-tick batch-size draws hit this at scenario-tick rate).
+    // hops (per-tick scalar draws, such as a plant's service budget,
+    // hit this at scenario-tick rate).
     std::uint64_t w[2];
     w[0] = next();
     w[1] = next();
@@ -84,23 +85,39 @@ void
 Rng::gaussianBatch(double mean, double stddev, double *out,
                    std::size_t n)
 {
+    // Chunked so the word staging stays on the stack; each chunk draws
+    // exactly the words its normals need, so the stream is what n
+    // serial gaussian() calls would consume.
+    constexpr std::size_t kChunk = 256;
+    std::uint64_t w[kChunk + 1];
+    for (std::size_t i = 0; i < n;) {
+        const std::size_t take = std::min(kChunk, n - i);
+        const std::size_t words = gaussianWords(take);
+        fillRaw(w, words);
+        gaussianBatch(w, mean, stddev, out + i, take);
+        i += take;
+    }
+}
+
+void
+Rng::gaussianBatch(const std::uint64_t *words, double mean,
+                   double stddev, double *out, std::size_t n)
+{
     std::size_t i = 0;
     if (n != 0 && have_spare_) {
         have_spare_ = false;
         out[i++] = mean + stddev * spare_;
     }
-    // Chunked so the word/normal staging stays on the stack; the word
-    // stream is exactly what n serial gaussian() calls would consume
-    // (two per pair, trailing odd normal's partner carried as spare).
+    // Two words per pair; a trailing odd normal's partner is carried
+    // as the spare.  The normals are staged on the stack in chunks.
     constexpr std::size_t kChunk = 128;
-    std::uint64_t w[2 * kChunk];
     double z[2 * kChunk];
     while (i < n) {
         const std::size_t remaining = n - i;
         const std::size_t pairs =
             std::min(kChunk, (remaining + 1) / 2);
-        fillRaw(w, 2 * pairs);
-        kernels::gaussianPairs(w, z, pairs);
+        kernels::gaussianPairs(words, z, pairs);
+        words += 2 * pairs;
         const std::size_t take = std::min(remaining, 2 * pairs);
         for (std::size_t j = 0; j < take; ++j)
             out[i + j] = mean + stddev * z[j];

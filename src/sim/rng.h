@@ -8,7 +8,7 @@
  * Every scenario run is seeded explicitly so that tests, benches and the
  * figures regenerated from them are bit-reproducible.  The generator is
  * xoshiro256** (public domain, Blackman & Vigna); distributions include
- * the Zipfian sampler YCSB uses for key popularity.
+ * the YCSB Zipfian sampler the fleet uses for tenant popularity.
  */
 
 #include <cstdint>
@@ -120,6 +120,27 @@ class Rng
                        std::size_t n);
 
     /**
+     * Raw words gaussianBatch(mean, stddev, out, @p n) would draw from
+     * this stream now: two per pair, after the carried spare (if any)
+     * serves the first normal.  At most n + 1.
+     */
+    std::size_t gaussianWords(std::size_t n) const
+    {
+        const std::size_t fresh = n - (n != 0 && have_spare_ ? 1 : 0);
+        return (fresh + 1) / 2 * 2;
+    }
+
+    /**
+     * gaussianBatch on words the caller has already drawn: @p words
+     * holds the next gaussianWords(@p n) words of this stream, taken
+     * in the caller's own fillRaw alongside its other draws.  Writes
+     * the same normals and leaves the same spare as
+     * gaussianBatch(mean, stddev, out, n) would; draws nothing itself.
+     */
+    void gaussianBatch(const std::uint64_t *words, double mean,
+                       double stddev, double *out, std::size_t n);
+
+    /**
      * Fork an independent stream: deterministic function of this
      * generator's seed and @p stream_id, so components can own private
      * streams without coupling their draw order.
@@ -165,11 +186,10 @@ class Rng
  *
  * Draws come from a Walker alias table (see sim/alias_sampler.h):
  * O(1), pow-free, one PRNG word per sample.  The table build is O(n)
- * with a pow() per term — for the 100k-key YCSB population that would
- * dwarf the sampler's own cost — so tables are memoized per
- * (n, theta) in a process-wide, thread-safe cache: every generator
- * construction after the first with the same parameters (one per
- * scenario run in a sweep) shares the already-built table.
+ * with a pow() per term — for a 100k-tenant fleet that would dwarf
+ * the sampler's own cost — so tables are memoized per (n, theta) in a
+ * process-wide, thread-safe cache: every generator construction after
+ * the first with the same parameters shares the already-built table.
  *
  * Stream compatibility: a draw consumes exactly one Rng::next(), the
  * same as the previous Gray et al. inverse-CDF sampler, so other

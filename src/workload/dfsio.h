@@ -12,24 +12,22 @@
  */
 
 #include <cstdint>
-#include <vector>
+#include <optional>
 
 #include "sim/clock.h"
 #include "sim/rng.h"
 
 namespace smartconf::workload {
 
-/** One namenode request. */
-struct DfsRequest
+/**
+ * One tick's namenode arrivals.  A write carries nothing the namenode
+ * reads, so a tick is a count of writes, plus the subtree size of the
+ * admin du when one is issued.
+ */
+struct DfsioTick
 {
-    enum class Type
-    {
-        WriteFile,       ///< client create/append (needs the write lock)
-        ContentSummary,  ///< admin du over a directory subtree
-    };
-
-    Type type = Type::WriteFile;
-    std::uint64_t file_count = 0; ///< subtree size for ContentSummary
+    std::uint64_t writes = 0;
+    std::optional<std::uint64_t> du_files; ///< set on a du tick
 };
 
 /** TestDFSIO-like workload knobs (Table 6: single- and multi-client
@@ -43,7 +41,7 @@ struct DfsioParams
 };
 
 /**
- * Generates per-tick namenode request batches.
+ * Generates per-tick namenode arrivals.
  */
 class DfsioGenerator
 {
@@ -51,17 +49,16 @@ class DfsioGenerator
     DfsioGenerator(const DfsioParams &params, sim::Rng rng);
 
     /**
-     * Fill @p out (cleared first) with the requests arriving during
-     * tick @p now; a caller-owned buffer absorbs the per-tick
-     * allocation after the first bursts.  A write carries nothing the
-     * namenode reads, so a tick draws only its batch size.
+     * The arrivals during tick @p now.  A tick draws only its write
+     * count (one gaussian()); a du is issued on the first tick and
+     * every du_period ticks after.
      */
-    void tickInto(sim::Tick now, std::vector<DfsRequest> &out);
+    DfsioTick tick(sim::Tick now);
 
     void setParams(const DfsioParams &params) { params_ = params; }
     const DfsioParams &params() const { return params_; }
 
-    /** Total requests generated so far. */
+    /** Total requests (writes and du commands) generated so far. */
     std::uint64_t generated() const { return generated_; }
 
   private:

@@ -9,17 +9,18 @@
  * partition each tick's batch across the fixed logical shards of a
  * sim::ShardPlane: the per-tick batch size comes from the plane's
  * control stream, and each YCSB block of the batch is produced
- * *entirely* by its lane — coins, keys and size jitter drawn from that
- * lane's jump-derived stream into disjoint segments of the shared SoA
- * scratch buffers.  The (n, tick_seq) -> block/lane layout is pure and
- * every lane owns its gaussian spare, so the batch is a function of the
- * layout alone; blocks run serially, in block order.
+ * *entirely* by its lane — one drawOps pass of coins, skipped key
+ * words and size jitter from that lane's jump-derived stream.  The
+ * (n, tick_seq) -> block/lane layout is pure and every lane owns its
+ * gaussian spare, so the batch is a function of the layout alone;
+ * blocks run serially, in block order.
  *
  * The RNG stream this defines *differs* from the single-stream
  * generators (the one sanctioned re-pin of the sharded-data-plane
  * change) and has been pinned since.
  */
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -30,6 +31,25 @@
 #include "workload/ycsb.h"
 
 namespace smartconf::workload {
+
+/**
+ * Per-tick batch sizes from a control stream that nothing else reads.
+ * The standard normals are drawn 64 ahead by one gaussianBatch(0, 1),
+ * which yields the same values in the same order as successive
+ * gaussian() calls; drawing ahead is invisible only because no other
+ * reader shares the stream.
+ */
+class BatchSizes
+{
+  public:
+    /** max(0, round(mean + stddev * z)) for the stream's next normal
+     *  z: what control.gaussian(mean, stddev) would give. */
+    std::uint64_t next(sim::Rng &control, double mean, double stddev);
+
+  private:
+    std::array<double, 64> z_{};
+    std::size_t pos_ = 64;
+};
 
 /**
  * YCSB batches produced per logical shard.
@@ -43,9 +63,7 @@ class ShardedYcsbGenerator
 
     /**
      * Fill @p out (resized, buffer reused) with one tick's operations.
-     * Each block writes its own [begin, end) segment in the same
-     * struct-of-arrays column order as YcsbGenerator (coins, keys,
-     * sizes).
+     * Each block [begin, end) is one drawOps pass on its lane.
      */
     void tickInto(std::vector<Op> &out);
 
@@ -64,28 +82,28 @@ class ShardedYcsbGenerator
   private:
     YcsbParams params_;
     sim::ShardPlane plane_;
-    sim::ZipfianGenerator zipf_;
+    BatchSizes sizes_;
     std::uint64_t generated_ = 0;
 
-    /** Shared SoA buffers; blocks write disjoint segments. */
-    std::vector<std::uint64_t> scratch_;
+    /** drawOps's buffers, sized for the longest block so far. */
+    std::vector<std::uint64_t> words_;
     std::vector<double> jitter_;
 };
 
 /**
- * TestDFSIO namenode request batches, counted per logical shard.  The
- * batch size comes from the control stream; a write request carries
- * nothing drawn, so the lanes draw no word, and each block's writes
- * count against its lane.  The periodic admin `du` stays on the
- * control path (it draws no RNG word and is one request per du_period
- * ticks).
+ * TestDFSIO namenode arrivals, counted per logical shard.  The write
+ * count comes from the control stream; a write carries nothing drawn,
+ * so the lanes draw no word, and each block's writes count against its
+ * lane.  The periodic admin `du` stays on the control path (it draws
+ * no RNG word and is one request per du_period ticks).
  */
 class ShardedDfsioGenerator
 {
   public:
     ShardedDfsioGenerator(const DfsioParams &params, sim::Rng rng);
 
-    void tickInto(sim::Tick now, std::vector<DfsRequest> &out);
+    /** The arrivals during tick @p now (see DfsioGenerator::tick). */
+    DfsioTick tick(sim::Tick now);
 
     std::uint64_t generated() const { return generated_; }
 
@@ -97,6 +115,7 @@ class ShardedDfsioGenerator
   private:
     DfsioParams params_;
     sim::ShardPlane plane_;
+    BatchSizes sizes_;
     sim::Tick last_du_ = -1;
     std::uint64_t generated_ = 0;
 };

@@ -5,20 +5,42 @@
 
 namespace smartconf::workload {
 
-YcsbGenerator::YcsbGenerator(const YcsbParams &params, sim::Rng rng)
-    : params_(params), rng_(rng),
-      zipf_(params.key_count, params.zipf_theta)
-{}
-
 void
-YcsbGenerator::setParams(const YcsbParams &params)
+drawOps(const YcsbParams &params, sim::Rng &rng, Op *ops,
+        std::size_t len, std::vector<std::uint64_t> &words,
+        std::vector<double> &jitter)
 {
-    const bool rebuild = params.key_count != params_.key_count ||
-                         params.zipf_theta != params_.zipf_theta;
-    params_ = params;
-    if (rebuild)
-        zipf_ = sim::ZipfianGenerator(params.key_count, params.zipf_theta);
+    if (len == 0)
+        return;
+    const std::size_t need = 2 * len + rng.gaussianWords(len);
+    if (words.size() < need)
+        words.resize(need);
+    if (jitter.size() < len)
+        jitter.resize(len);
+    std::uint64_t *const w = words.data();
+    double *const z = jitter.data();
+    rng.fillRaw(w, need);
+
+    // Type coins, w[0, len): the exact integer equivalent of
+    // uniform() < write_fraction (Rng::coinThreshold).
+    const std::uint64_t write_bound =
+        sim::Rng::coinThreshold(params.write_fraction);
+    for (std::size_t i = 0; i < len; ++i)
+        ops[i].type = (w[i] >> 11) < write_bound ? Op::Type::Write
+                                                 : Op::Type::Read;
+
+    // w[len, 2 len) are the key words: nothing reads a key.
+
+    // Sizes: Box-Muller on the remaining words, with the stream's
+    // spare, exactly as gaussianBatch would have drawn them.
+    rng.gaussianBatch(w + 2 * len, 1.0, params.size_jitter, z, len);
+    for (std::size_t i = 0; i < len; ++i)
+        ops[i].size_mb = params.request_size_mb * std::max(0.05, z[i]);
 }
+
+YcsbGenerator::YcsbGenerator(const YcsbParams &params, sim::Rng rng)
+    : params_(params), rng_(rng)
+{}
 
 void
 YcsbGenerator::tickInto(std::vector<Op> &out)
@@ -30,41 +52,9 @@ YcsbGenerator::tickInto(std::vector<Op> &out)
 
     // resize without a preceding clear: shrink keeps constructed
     // elements, growth value-initializes only the new tail.  Every
-    // field is overwritten below, so stale contents are harmless.
+    // field is overwritten by drawOps, so stale contents are harmless.
     out.resize(n);
-    scratch_.resize(n);
-
-    // Draw order is struct-of-arrays per tick — all type coins, then
-    // all keys, then all sizes — so every column comes from a
-    // kernel-layer batch instead of per-op calls.  Each op still
-    // consumes the historical word count (coin 1, key 1, size jitter
-    // via the stateful Box-Muller pair), but at different stream
-    // positions than the interleaved per-op loop; the engine version
-    // moved with this change.
-
-    // Type coins: one raw word each, accepted by the exact integer
-    // equivalent of uniform() < write_fraction (Rng::coinThreshold).
-    rng_.fillRaw(scratch_.data(), n);
-    const std::uint64_t write_bound =
-        sim::Rng::coinThreshold(params_.write_fraction);
-    for (std::size_t i = 0; i < n; ++i)
-        out[i].type = (scratch_[i] >> 11) < write_bound
-                          ? Op::Type::Write
-                          : Op::Type::Read;
-
-    // Keys: batched alias-table resolution (gathers under AVX2).
-    zipf_.sampleBatch(rng_, scratch_.data(), n);
-    for (std::size_t i = 0; i < n; ++i)
-        out[i].key = scratch_[i];
-
-    // Sizes: batched Box-Muller (kernels::gaussianPairs); the spare
-    // carried across ticks makes this word-for-word what n serial
-    // gaussian() calls would draw.
-    jitter_.resize(n);
-    rng_.gaussianBatch(1.0, params_.size_jitter, jitter_.data(), n);
-    for (std::size_t i = 0; i < n; ++i)
-        out[i].size_mb =
-            params_.request_size_mb * std::max(0.05, jitter_[i]);
+    drawOps(params_, rng_, out.data(), n, words_, jitter_);
     generated_ += n;
 }
 

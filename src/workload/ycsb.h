@@ -9,8 +9,11 @@
  * HB2149, HB3813, HB6728) with YCSB; workloads are described by a write
  * fraction (xW), a request size (yMB) and a read index-cache ratio (Cz)
  * — see Table 6.  This generator reproduces those knobs on top of the
- * deterministic RNG: per-tick operation batches with Zipfian key
- * popularity and configurable arrival-rate burstiness.
+ * deterministic RNG: per-tick operation batches with configurable
+ * arrival-rate burstiness, each op a read or write coin and a jittered
+ * payload size.  The plants read an op's type and size only, so no
+ * key is resolved: each op's key word is still drawn, which keeps the
+ * stream where YCSB's Zipfian key draw left it.
  */
 
 #include <cstdint>
@@ -31,7 +34,6 @@ struct Op
     };
 
     Type type = Type::Read;
-    std::uint64_t key = 0;
     double size_mb = 0.0; ///< payload for writes, response size for reads
 };
 
@@ -44,10 +46,21 @@ struct YcsbParams
 
     double ops_per_tick = 20.0;   ///< mean arrival rate
     double burstiness = 0.3;      ///< relative stddev of per-tick batch
-    std::uint64_t key_count = 100000;
-    double zipf_theta = 0.99;     ///< YCSB default key skew
     double size_jitter = 0.1;     ///< relative stddev of payload size
 };
+
+/**
+ * Draw @p len operations from @p rng into @p ops[0..len).  One
+ * fillRaw takes the block's words in the stream's historical order: a
+ * type coin per op, a key word per op, then the size jitter's
+ * Box-Muller words (Rng::gaussianWords, which follows the stream's
+ * carried spare).  The key words are skipped, never resolved.  The
+ * caller's @p words and @p jitter buffers only grow, so a steady
+ * stream of blocks stops touching the heap.
+ */
+void drawOps(const YcsbParams &params, sim::Rng &rng, Op *ops,
+             std::size_t len, std::vector<std::uint64_t> &words,
+             std::vector<double> &jitter);
 
 /**
  * Generates per-tick operation batches.
@@ -58,27 +71,21 @@ class YcsbGenerator
     YcsbGenerator(const YcsbParams &params, sim::Rng rng);
 
     /**
-     * Fill @p out (cleared first) with the operations arriving during
-     * one tick.  Re-feeding the same buffer every tick amortizes its
-     * allocation to the run's burst high-water mark — the steady-state
-     * arrival path stops touching the heap.  Generation is
-     * struct-of-arrays: the op count is drawn once, then the tick's
-     * type coins, Zipfian keys and Box-Muller size jitter are each
-     * produced as kernel-layer batches (Rng::fillRaw +
-     * AliasTable::sampleBatch + Rng::gaussianBatch — SIMD lanes, one
-     * PRNG word per coin/key, two per jitter pair).
+     * Fill @p out (resized, buffer reused) with the operations
+     * arriving during one tick.  Re-feeding the same buffer every tick
+     * amortizes its allocation to the run's burst high-water mark.
+     * The op count is drawn first (one gaussian()), then the whole
+     * tick is one drawOps block.
      */
     void tickInto(std::vector<Op> &out);
 
     /** Switch parameters mid-run (phase change). */
-    void setParams(const YcsbParams &params);
+    void setParams(const YcsbParams &params) { params_ = params; }
 
     /**
      * Single-knob mutators for per-tick schedules.  Scenario drivers
      * retune the arrival rate (and friends) every tick; these skip the
-     * params()-copy / setParams round trip and its rebuild check —
-     * none of these knobs feed the Zipfian table, so mutating them in
-     * place is observably identical.
+     * params()-copy / setParams round trip.
      */
     void setOpsPerTick(double v) { params_.ops_per_tick = v; }
     void setWriteFraction(double v) { params_.write_fraction = v; }
@@ -92,13 +99,10 @@ class YcsbGenerator
   private:
     YcsbParams params_;
     sim::Rng rng_;
-    sim::ZipfianGenerator zipf_;
     std::uint64_t generated_ = 0;
 
-    /** Per-tick raw-word / key batch buffer (amortized like `out`). */
-    std::vector<std::uint64_t> scratch_;
-
-    /** Per-tick size-jitter batch buffer (amortized like `out`). */
+    /** drawOps's word and size-jitter buffers (amortized like `out`). */
+    std::vector<std::uint64_t> words_;
     std::vector<double> jitter_;
 };
 

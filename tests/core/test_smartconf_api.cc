@@ -6,6 +6,8 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/smartconf.h"
 
@@ -222,6 +224,73 @@ TEST(SmartConfApi, UnreachableGoalRaisesAlert)
     EXPECT_EQ(alerts, 1) << "alert must fire exactly once per episode";
     EXPECT_EQ(alerted_conf, "q");
     EXPECT_EQ(rt.alertCount(), 1);
+}
+
+/**
+ * A soft goal of 10000 on a configuration clamped to [0, 50], profiled
+ * with alpha 1 and pole 0: a reading of 0 pins the configuration at 50
+ * (saturated), a reading of exactly 10000 is a zero step that ends the
+ * episode.
+ */
+void
+setupUnreachable(SmartConfRuntime &rt, std::vector<std::string> &msgs)
+{
+    rt.declareConf({"q", "mem", 0.0, 0.0, 50.0});
+    Goal g;
+    g.metric = "mem";
+    g.value = 10000.0;
+    g.hard = false;
+    rt.declareGoal(g);
+    rt.installProfile("q", summary(1.0, 0.0, 0.0));
+    rt.setAlertHandler([&msgs](const std::string &conf,
+                               const std::string &msg) {
+        EXPECT_EQ(conf, "q");
+        msgs.push_back(msg);
+    });
+}
+
+TEST(SmartConfApi, LongSaturationAlertsOncePerEpisode)
+{
+    SmartConfRuntime rt;
+    std::vector<std::string> msgs;
+    setupUnreachable(rt, msgs);
+    SmartConf sc(rt, "q");
+    for (int episode = 0; episode < 3; ++episode) {
+        for (int i = 0; i < 500; ++i) {
+            sc.setPerf(0.0);
+            ASSERT_DOUBLE_EQ(sc.getConfReal(), 50.0);
+        }
+        sc.setPerf(10000.0); // zero step: the episode ends
+        sc.getConfReal();
+    }
+    ASSERT_EQ(msgs.size(), 3u);
+    EXPECT_EQ(rt.alertCount(), 3);
+    for (const std::string &msg : msgs)
+        EXPECT_EQ(msg, "goal 'mem' appears unreachable: configuration "
+                       "pinned at 50.000000");
+}
+
+TEST(SmartConfApi, LongSaturationAlertsOncePerEpisodeIndirect)
+{
+    SmartConfRuntime rt;
+    std::vector<std::string> msgs;
+    setupUnreachable(rt, msgs);
+    SmartConfI sc(rt, "q");
+    double deputy = 0.0;
+    for (int episode = 0; episode < 3; ++episode) {
+        for (int i = 0; i < 500; ++i) {
+            sc.setPerf(0.0, deputy);
+            deputy = sc.getConfReal();
+            ASSERT_DOUBLE_EQ(deputy, 50.0);
+        }
+        sc.setPerf(10000.0, deputy);
+        sc.getConfReal();
+    }
+    ASSERT_EQ(msgs.size(), 3u);
+    EXPECT_EQ(rt.alertCount(), 3);
+    for (const std::string &msg : msgs)
+        EXPECT_EQ(msg, "goal 'mem' appears unreachable: deputy pinned "
+                       "at 50.000000");
 }
 
 TEST(SmartConfApi, InteractingConfsShareSuperHardGoal)

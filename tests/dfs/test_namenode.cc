@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <optional>
 
 #include "dfs/namenode.h"
 
@@ -19,35 +19,25 @@ params()
     return p;
 }
 
-workload::DfsRequest
-writeReq()
-{
-    workload::DfsRequest r;
-    r.type = workload::DfsRequest::Type::WriteFile;
-    return r;
-}
-
-workload::DfsRequest
-duReq(std::uint64_t files)
-{
-    workload::DfsRequest r;
-    r.type = workload::DfsRequest::Type::ContentSummary;
-    r.file_count = files;
-    return r;
-}
-
-/** Submit a one-request batch. */
+/** One client write arriving at @p now. */
 void
-submit(Namenode &nn, const workload::DfsRequest &req, sim::Tick now)
+submitWrite(Namenode &nn, sim::Tick now)
 {
-    nn.submitAll({req}, now);
+    nn.submit(1, std::nullopt, now);
+}
+
+/** An admin du over @p files files arriving at @p now. */
+void
+submitDu(Namenode &nn, std::uint64_t files, sim::Tick now)
+{
+    nn.submit(0, files, now);
 }
 
 TEST(Namenode, WritesServedPromptlyWithoutDu)
 {
     Namenode nn(params(), 1000);
     for (int t = 0; t < 10; ++t) {
-        submit(nn, writeReq(), t);
+        submitWrite(nn, t);
         nn.step(t);
     }
     EXPECT_EQ(nn.servedWrites(), 10u);
@@ -57,10 +47,10 @@ TEST(Namenode, WritesServedPromptlyWithoutDu)
 TEST(Namenode, DuHoldsLockAndBlocksWrites)
 {
     Namenode nn(params(), 10000); // one big chunk: 10 ticks of lock
-    submit(nn, duReq(10000), 0);
+    submitDu(nn, 10000, 0);
     sim::Tick t = 0;
     nn.step(t);
-    submit(nn, writeReq(), ++t); // arrives while the lock is held
+    submitWrite(nn, ++t); // arrives while the lock is held
     while (nn.duActive()) {
         nn.step(t);
         ++t;
@@ -74,7 +64,7 @@ TEST(Namenode, ChunkingBoundsLockHoldTime)
 {
     // limit 2000 at 1000 files/tick -> 2-tick holds.
     Namenode nn(params(), 2000);
-    submit(nn, duReq(10000), 0);
+    submitDu(nn, 10000, 0);
     sim::Tick t = 0;
     while (nn.duActive() && t < 1000) {
         nn.step(t);
@@ -92,11 +82,11 @@ TEST(Namenode, SmallerLimitMeansShorterWaitsButSlowerDu)
 {
     auto run = [](std::uint64_t limit) {
         Namenode nn(params(), limit);
-        submit(nn, duReq(20000), 0);
+        submitDu(nn, 20000, 0);
         sim::Tick t = 0;
         while (nn.duActive() && t < 5000) {
             if (t % 2 == 0)
-                submit(nn, writeReq(), t);
+                submitWrite(nn, t);
             nn.step(t);
             ++t;
         }
@@ -117,10 +107,10 @@ TEST(Namenode, SmallerLimitMeansShorterWaitsButSlowerDu)
 TEST(Namenode, RecentMaxWaitResets)
 {
     Namenode nn(params(), 5000);
-    submit(nn, duReq(5000), 0);
+    submitDu(nn, 5000, 0);
     sim::Tick t = 0;
     nn.step(t++);
-    submit(nn, writeReq(), t);
+    submitWrite(nn, t);
     while (nn.duActive() || nn.pendingWrites() > 0) {
         nn.step(t);
         ++t;
@@ -132,9 +122,9 @@ TEST(Namenode, RecentMaxWaitResets)
 TEST(Namenode, SecondDuIgnoredWhileActive)
 {
     Namenode nn(params(), 1000);
-    submit(nn, duReq(50000), 0);
+    submitDu(nn, 50000, 0);
     nn.step(0);
-    submit(nn, duReq(50000), 1); // dropped
+    submitDu(nn, 50000, 1); // dropped
     sim::Tick t = 1;
     while (nn.duActive() && t < 10000) {
         nn.step(t);
@@ -155,7 +145,7 @@ TEST(Namenode, DynamicLimitAdjustment)
 TEST(Namenode, ChunksCompletedCounts)
 {
     Namenode nn(params(), 1000);
-    submit(nn, duReq(3000), 0);
+    submitDu(nn, 3000, 0);
     sim::Tick t = 0;
     while (nn.duActive() && t < 1000) {
         nn.step(t);
@@ -179,16 +169,13 @@ TEST(NamenodeGrowth, DuSummarisesItsRequestsFileCount)
     // count its request carries: the namespace is not modelled.
     for (const std::uint64_t files : {0u, 300u}) {
         Namenode nn(p, 1000000);
-        nn.submitAll(std::vector<workload::DfsRequest>(500), 0);
+        nn.submit(500, std::nullopt, 0);
         sim::Tick t = 0;
         while (nn.pendingWrites() > 0)
             nn.step(t++);
         ASSERT_EQ(nn.servedWrites(), 500u);
 
-        workload::DfsRequest du;
-        du.type = workload::DfsRequest::Type::ContentSummary;
-        du.file_count = files;
-        submit(nn, du, t);
+        submitDu(nn, files, t);
         while (nn.duActive() && t < 1000)
             nn.step(t++);
         ASSERT_EQ(nn.duResults().size(), 1u) << "files=" << files;
@@ -203,15 +190,10 @@ TEST(NamenodeGrowth, WritesKeepFlowingBetweenChunks)
     p.yield_overhead_ticks = 1.0;
     p.write_service_per_tick = 10.0;
     Namenode nn(p, 200); // 2-tick holds
-    workload::DfsRequest du;
-    du.type = workload::DfsRequest::Type::ContentSummary;
-    du.file_count = 5000;
-    submit(nn, du, 0);
+    submitDu(nn, 5000, 0);
     std::uint64_t served_mid = 0;
     for (sim::Tick t = 0; t < 200 && nn.duActive(); ++t) {
-        workload::DfsRequest w;
-        w.type = workload::DfsRequest::Type::WriteFile;
-        submit(nn, w, t);
+        submitWrite(nn, t);
         nn.step(t);
         served_mid = nn.servedWrites();
     }

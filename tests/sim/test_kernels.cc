@@ -426,3 +426,38 @@ TEST(Kernels, GaussianBatchEqualsSerialGaussianCalls)
             << "n=" << n;
     }
 }
+
+TEST(Kernels, GaussianBatchOnDrawnWordsEqualsSerialGaussianCalls)
+{
+    // The caller draws gaussianWords(n) words itself (here in one
+    // fillRaw after three unrelated words, as a YCSB block does); the
+    // normals, the spare and the stream position must be those of n
+    // serial gaussian() calls.
+    for (const bool spare : {false, true}) {
+        for (std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{2}, std::size_t{5},
+                              std::size_t{256}, std::size_t{301}}) {
+            Rng serial(0xbeef), drawn(0xbeef);
+            if (spare) {
+                ASSERT_TRUE(sameBits(serial.gaussian(), drawn.gaussian()));
+            }
+            for (int k = 0; k < 3; ++k)
+                ASSERT_EQ(serial.next(), drawn.next());
+
+            const std::size_t words = drawn.gaussianWords(n);
+            EXPECT_LE(words, n + 1);
+            EXPECT_EQ(words % 2, 0u);
+            std::vector<std::uint64_t> w(words + 1);
+            drawn.fillRaw(w.data(), words);
+            std::vector<double> got(n, -1.0);
+            drawn.gaussianBatch(w.data(), 2.0, 3.0, got.data(), n);
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_TRUE(sameBits(got[i], serial.gaussian(2.0, 3.0)))
+                    << "spare=" << spare << " n=" << n << " i=" << i;
+            EXPECT_EQ(serial.next(), drawn.next())
+                << "spare=" << spare << " n=" << n;
+            EXPECT_TRUE(sameBits(serial.gaussian(), drawn.gaussian()))
+                << "spare=" << spare << " n=" << n;
+        }
+    }
+}

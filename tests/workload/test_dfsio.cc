@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "workload/dfsio.h"
 
 namespace smartconf::workload {
@@ -17,12 +15,8 @@ TEST(Dfsio, WriteRateApproximatesParameter)
     DfsioGenerator gen(p, sim::Rng(1));
     std::uint64_t writes = 0;
     const int ticks = 2000;
-    std::vector<DfsRequest> reqs;
-    for (int t = 0; t < ticks; ++t) {
-        gen.tickInto(t, reqs);
-        for (const auto &req : reqs)
-            writes += req.type == DfsRequest::Type::WriteFile ? 1 : 0;
-    }
+    for (int t = 0; t < ticks; ++t)
+        writes += gen.tick(t).writes;
     EXPECT_NEAR(static_cast<double>(writes) / ticks, 30.0, 1.5);
 }
 
@@ -34,14 +28,11 @@ TEST(Dfsio, DuIssuedPeriodically)
     p.du_file_count = 5555;
     DfsioGenerator gen(p, sim::Rng(2));
     int dus = 0;
-    std::vector<DfsRequest> reqs;
     for (int t = 0; t < 1000; ++t) {
-        gen.tickInto(t, reqs);
-        for (const auto &req : reqs) {
-            if (req.type == DfsRequest::Type::ContentSummary) {
-                ++dus;
-                EXPECT_EQ(req.file_count, 5555u);
-            }
+        const DfsioTick arrivals = gen.tick(t);
+        if (arrivals.du_files) {
+            ++dus;
+            EXPECT_EQ(*arrivals.du_files, 5555u);
         }
     }
     EXPECT_EQ(dus, 10);
@@ -52,12 +43,7 @@ TEST(Dfsio, FirstTickIssuesDu)
     DfsioParams p;
     p.du_period = 500;
     DfsioGenerator gen(p, sim::Rng(4));
-    bool found = false;
-    std::vector<DfsRequest> reqs;
-    gen.tickInto(0, reqs);
-    for (const auto &req : reqs)
-        found |= req.type == DfsRequest::Type::ContentSummary;
-    EXPECT_TRUE(found);
+    EXPECT_TRUE(gen.tick(0).du_files.has_value());
 }
 
 } // namespace

@@ -68,14 +68,10 @@ TEST(ShardedYcsb, HonoursWriteFractionAndMutators)
 TEST(ShardedDfsio, EmitsPeriodicDuAndCountsIt)
 {
     ShardedDfsioGenerator gen(dfsioParams(), sim::Rng(22));
-    std::vector<DfsRequest> reqs;
     std::uint64_t du_count = 0;
     for (sim::Tick t = 0; t < 100; ++t) {
-        gen.tickInto(t, reqs);
-        for (const DfsRequest &r : reqs) {
-            if (r.type == DfsRequest::Type::ContentSummary)
-                ++du_count;
-        }
+        if (gen.tick(t).du_files)
+            ++du_count;
     }
     EXPECT_EQ(du_count, 10u); // du_period 10 over 100 ticks
     std::uint64_t sum = 0;

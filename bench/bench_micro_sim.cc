@@ -14,6 +14,7 @@
 
 #include "sim/rng.h"
 #include "workload/sharded.h"
+#include "workload/tape.h"
 
 namespace {
 
@@ -65,6 +66,51 @@ BM_ShardedYcsbTick(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(gen.generated()));
 }
 BENCHMARK(BM_ShardedYcsbTick)->Arg(4)->Arg(10)->Arg(380);
+
+/** Ticks per tape in the YcsbTape benches (a run is 6000-7000). */
+constexpr sim::Tick kTapeTicks = 1000;
+
+/**
+ * Recording a YcsbTape of kTapeTicks ticks at a mean of range(0) ops
+ * a tick, a fresh tape each iteration, as the first policy of a sweep
+ * group records it.  Reported per op: the excess over
+ * BM_ShardedYcsbTick at the same rate is the recording cost.
+ */
+void
+BM_YcsbTapeRecord(benchmark::State &state)
+{
+    workload::YcsbParams p;
+    p.ops_per_tick = static_cast<double>(state.range(0));
+    std::uint64_t seed = 7, ops = 0;
+    for (auto _ : state) {
+        workload::YcsbTape tape(p, sim::Rng(seed++));
+        for (sim::Tick t = 0; t < kTapeTicks; ++t)
+            benchmark::DoNotOptimize(tape.tick(t).data());
+        ops += tape.generated(kTapeTicks);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+}
+BENCHMARK(BM_YcsbTapeRecord)->Arg(4)->Arg(10)->Arg(380);
+
+/** Replaying a recorded tape, as every later policy of the group
+ *  reads it.  Reported per op. */
+void
+BM_YcsbTapeReplay(benchmark::State &state)
+{
+    workload::YcsbParams p;
+    p.ops_per_tick = static_cast<double>(state.range(0));
+    workload::YcsbTape tape(p, sim::Rng(7));
+    for (sim::Tick t = 0; t < kTapeTicks; ++t)
+        tape.tick(t);
+    std::uint64_t ops = 0;
+    for (auto _ : state) {
+        for (sim::Tick t = 0; t < kTapeTicks; ++t)
+            benchmark::DoNotOptimize(tape.tick(t).data());
+        ops += tape.generated(kTapeTicks);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+}
+BENCHMARK(BM_YcsbTapeReplay)->Arg(4)->Arg(10)->Arg(380);
 
 /** One ShardedDfsioGenerator tick at HD4995's 30 writes, du every 300
  *  ticks.  Reported per request. */

@@ -18,7 +18,7 @@ KvServer::KvServer(const KvServerParams &params, sim::Rng rng)
 }
 
 void
-KvServer::accept(const std::vector<workload::Op> &ops, sim::Tick now)
+KvServer::accept(std::span<const workload::Op> ops, sim::Tick now)
 {
     if (crashed())
         return;

@@ -23,6 +23,7 @@
  */
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "kvstore/heap.h"
@@ -64,7 +65,7 @@ class KvServer
     KvServer(const KvServerParams &params, sim::Rng rng);
 
     /** Offer a batch of client operations (rejected ops are dropped). */
-    void accept(const std::vector<workload::Op> &ops, sim::Tick now);
+    void accept(std::span<const workload::Op> ops, sim::Tick now);
 
     /** Advance one tick of service, network drain and heap accounting. */
     void step(sim::Tick now);

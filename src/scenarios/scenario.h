@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -205,6 +206,19 @@ class Scenario
      */
     virtual ScenarioResult run(const Policy &policy,
                                std::uint64_t seed) const = 0;
+
+    /**
+     * Run the evaluation once per entry of @p policies, all under
+     * @p seed: result i equals run(policies[i], seed) to the bit.  The
+     * default calls run() for each policy.  The four YCSB scenarios
+     * draw their op stream once for all the policies
+     * (workload::YcsbTape), and their run() is the one-policy call of
+     * this.  A sweep makes one such call per (scenario, seed) group
+     * (exec::SweepRunner).
+     */
+    virtual std::vector<ScenarioResult>
+    runPolicies(std::span<const Policy> policies,
+                std::uint64_t seed) const;
 
   protected:
     ScenarioInfo info_;

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <utility>
 
 #include "sim/kernels.h"
 #include "sim/metrics.h"
@@ -17,7 +18,11 @@ namespace {
 class Writer
 {
   public:
-    explicit Writer(std::size_t size) { buf_.reserve(size); }
+    Writer(std::size_t size, std::vector<char> buf) : buf_(std::move(buf))
+    {
+        buf_.clear();
+        buf_.reserve(size);
+    }
 
     void raw(const void *p, std::size_t n)
     {
@@ -209,7 +214,14 @@ DiskRunCache::checksum64(const void *data, std::size_t len)
 std::vector<char>
 DiskRunCache::serializeResult(const scenarios::ScenarioResult &result)
 {
-    Writer payload(payloadBytes(result));
+    return serializeResult(result, {});
+}
+
+std::vector<char>
+DiskRunCache::serializeResult(const scenarios::ScenarioResult &result,
+                              std::vector<char> buffer)
+{
+    Writer payload(payloadBytes(result), std::move(buffer));
     payload.str(result.scenario_id);
     payload.str(result.policy_label);
     payload.u8(result.violated ? 1 : 0);
@@ -280,7 +292,8 @@ DiskRunCache::store(const std::string &key,
 {
     if (!usable())
         return false;
-    std::vector<char> payload = serializeResult(result);
+    std::vector<char> payload = serializeResult(
+        result, store_->takeBuffer(payloadBytes(result)));
     const std::uint64_t sum = checksum64(payload.data(), payload.size());
     return store_->put(key, std::move(payload), sum);
 }

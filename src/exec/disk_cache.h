@@ -136,6 +136,12 @@ class DiskRunCache
     static std::vector<char>
     serializeResult(const scenarios::ScenarioResult &result);
 
+    /** serializeResult into @p buffer (cleared first; its capacity is
+     *  reused). */
+    static std::vector<char>
+    serializeResult(const scenarios::ScenarioResult &result,
+                    std::vector<char> buffer);
+
     /** Parse a payload produced by serializeResult. @return validity. */
     static bool parseResult(const char *data, std::size_t len,
                             scenarios::ScenarioResult &out);

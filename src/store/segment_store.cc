@@ -244,6 +244,38 @@ SegmentStore::lookupSegments(const std::string &key, std::uint64_t hash,
     return false;
 }
 
+std::vector<char>
+SegmentStore::takeBuffer(std::size_t bytes)
+{
+    std::vector<char> buf;
+    {
+        std::lock_guard<std::mutex> lock(spare_mu_);
+        const auto it = spares_.lower_bound(bytes);
+        if (it != spares_.end()) {
+            spare_bytes_ -= it->first;
+            buf = std::move(it->second);
+            spares_.erase(it);
+            return buf;
+        }
+    }
+    buf.reserve(bytes);
+    return buf;
+}
+
+void
+SegmentStore::keepSpares(std::vector<Shard::PendingEntry> &entries)
+{
+    std::lock_guard<std::mutex> lock(spare_mu_);
+    for (Shard::PendingEntry &e : entries) {
+        const std::size_t cap = e.payload.capacity();
+        if (cap == 0 || spare_bytes_ + cap > kSpareBytes)
+            continue;
+        e.payload.clear();
+        spare_bytes_ += cap;
+        spares_.emplace(cap, std::move(e.payload));
+    }
+}
+
 bool
 SegmentStore::sealShardLocked(Shard &sh, std::uint32_t shard_id)
 {
@@ -265,6 +297,7 @@ SegmentStore::sealShardLocked(Shard &sh, std::uint32_t shard_id)
     // Keep read-your-writes: swap the pending buffer for the published
     // segment in one step, while this shard's lock is held.
     std::shared_ptr<OpenSegment> seg = openSegment(name);
+    keepSpares(sh.pending);
     sh.pending.clear();
     sh.pending_keys.clear();
     sh.pending_slots.clear();
@@ -441,6 +474,12 @@ SegmentStore::flush()
 CompactionResult
 SegmentStore::compact()
 {
+    {
+        // The merge's own buffers reuse what the spares held.
+        std::lock_guard<std::mutex> lock(spare_mu_);
+        spares_.clear();
+        spare_bytes_ = 0;
+    }
     rescanIfStale();
     return compactShards(2);
 }

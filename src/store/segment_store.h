@@ -42,6 +42,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -164,6 +165,20 @@ class SegmentStore
              std::uint64_t payload_checksum);
 
     /**
+     * An empty buffer of capacity @p bytes or more, for a put's
+     * payload: the smallest payload buffer a seal released that fits,
+     * else a new one.  A seal keeps the buffers it releases (up to
+     * kSpareBytes of them) instead of freeing them: freeing a sealed
+     * batch can leave a span at the heap top past malloc's trim
+     * threshold, and the next batch's puts then fault every page of
+     * their payloads in again.  compact() frees the spares first.
+     */
+    std::vector<char> takeBuffer(std::size_t bytes);
+
+    /** Capacity kept in released payload buffers, at most. */
+    static constexpr std::size_t kSpareBytes = std::size_t{16} << 20;
+
+    /**
      * Fetch the payload stored under @p key into @p out.  Checks the
      * pending buffer, then the open segments newest-first, preading
      * the payload straight into @p out; validates the full key and the
@@ -231,6 +246,8 @@ class SegmentStore
 
     bool pendingFull(const Shard &sh) const; ///< seal threshold hit
     bool sealShardLocked(Shard &sh, std::uint32_t shard_id);
+    /** Keep the payload buffers of sealed @p entries for takeBuffer. */
+    void keepSpares(std::vector<Shard::PendingEntry> &entries);
     bool publishSegment(const SegmentBuilder &b, std::uint32_t shard_id,
                         std::string *published_name);
     std::shared_ptr<OpenSegment> openSegment(const std::string &name);
@@ -253,6 +270,10 @@ class SegmentStore
 
     mutable std::mutex stats_mu_;
     StoreStats stats_;
+
+    std::mutex spare_mu_;
+    std::multimap<std::size_t, std::vector<char>> spares_; ///< by capacity
+    std::size_t spare_bytes_ = 0;
 };
 
 } // namespace smartconf::store

@@ -93,6 +93,69 @@ TEST_F(SegmentStoreTest, PutGetRoundTripsThroughPendingAndSealed)
     EXPECT_FALSE(s.get("missing", out));
 }
 
+TEST_F(SegmentStoreTest, PutsReuseThePayloadBuffersASealReleased)
+{
+    SegmentStore s(dir_, quiet(64));
+    std::vector<const char *> sealed;
+    for (int i = 0; i < 8; ++i) {
+        std::vector<char> p = s.takeBuffer(1000 + 100 * i);
+        EXPECT_GE(p.capacity(), 1000u + 100 * i);
+        p.assign(static_cast<std::size_t>(1000 + 100 * i), 'a');
+        sealed.push_back(p.data());
+        const std::uint64_t sum = blockChecksum(p.data(), p.size());
+        ASSERT_TRUE(s.put(keyFor(i), std::move(p), sum));
+    }
+    ASSERT_TRUE(s.flush());
+
+    // The smallest released buffer that fits: the 1,500-byte one.
+    std::vector<char> b = s.takeBuffer(1450);
+    EXPECT_TRUE(b.empty());
+    EXPECT_GE(b.capacity(), 1450u);
+    EXPECT_EQ(b.data(), sealed[5]);
+    // None fits: a new buffer.
+    const std::vector<char> big = s.takeBuffer(4000);
+    EXPECT_GE(big.capacity(), 4000u);
+    EXPECT_EQ(std::find(sealed.begin(), sealed.end(), big.data()),
+              sealed.end());
+
+    // The sealed bytes are on disk, not in the reused buffers.
+    b.assign(1450, 'z');
+    for (int i = 0; i < 8; ++i) {
+        std::vector<char> out;
+        ASSERT_TRUE(s.get(keyFor(i), out));
+        EXPECT_EQ(out, std::vector<char>(
+                           static_cast<std::size_t>(1000 + 100 * i), 'a'));
+    }
+}
+
+TEST_F(SegmentStoreTest, ConcurrentPutsTakeBuffersWhileSealsReleaseThem)
+{
+    // Seals every few entries, so buffers come back while other threads
+    // take them.
+    SegmentStore s(dir_, quiet(2));
+    constexpr int kThreads = 4, kPerThread = 40;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&s, t] {
+            for (int j = 0; j < kPerThread; ++j) {
+                const int i = t * kPerThread + j;
+                const std::string p = payloadFor(i);
+                std::vector<char> b = s.takeBuffer(p.size());
+                b.assign(p.begin(), p.end());
+                const std::uint64_t sum = blockChecksum(b.data(), b.size());
+                EXPECT_TRUE(s.put(keyFor(i), std::move(b), sum));
+            }
+        });
+    for (std::thread &th : threads)
+        th.join();
+    ASSERT_TRUE(s.flush());
+    for (int i = 0; i < kThreads * kPerThread; ++i) {
+        std::vector<char> out;
+        ASSERT_TRUE(s.get(keyFor(i), out)) << keyFor(i);
+        EXPECT_EQ(std::string(out.begin(), out.end()), payloadFor(i));
+    }
+}
+
 TEST_F(SegmentStoreTest, SealsAtEntryThresholdWithoutExplicitFlush)
 {
     SegmentStore s(dir_, quiet(4));

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sim/rng.h"
+#include "workload/dfsio.h"
 #include "workload/sharded.h"
 #include "workload/tape.h"
 
@@ -112,20 +113,20 @@ BM_YcsbTapeReplay(benchmark::State &state)
 }
 BENCHMARK(BM_YcsbTapeReplay)->Arg(4)->Arg(10)->Arg(380);
 
-/** One ShardedDfsioGenerator tick at HD4995's 30 writes, du every 300
+/** One DfsioGenerator tick at HD4995's 30 writes, du every 300
  *  ticks.  Reported per request. */
 void
-BM_ShardedDfsioTick(benchmark::State &state)
+BM_DfsioTick(benchmark::State &state)
 {
     workload::DfsioParams p;
     p.writes_per_tick = 30.0;
-    workload::ShardedDfsioGenerator gen(p, sim::Rng(7));
+    workload::DfsioGenerator gen(p, sim::Rng(7));
     sim::Tick t = 0;
     for (auto _ : state)
         benchmark::DoNotOptimize(gen.tick(t++));
     state.SetItemsProcessed(static_cast<std::int64_t>(gen.generated()));
 }
-BENCHMARK(BM_ShardedDfsioTick);
+BENCHMARK(BM_DfsioTick);
 
 } // namespace
 

@@ -30,14 +30,15 @@
 #include "exec/sweep.h"
 #include "scenarios/scenario.h"
 #include "sim/kernels.h"
-#include "sim/shard.h"
 #include "sim/simd.h"
+#include "workload/sharded.h"
 
 int
 main(int argc, char **argv)
 {
     using namespace smartconf::scenarios;
     using smartconf::exec::SweepJob;
+    using smartconf::workload::kShards;
 
     const smartconf::exec::SweepArgs args =
         smartconf::exec::parseSweepArgs(argc, argv,
@@ -89,10 +90,10 @@ main(int argc, char **argv)
     // identical at any --jobs — so both the counters and the imbalance
     // stat participate in the payload sha.  Imbalance is max/mean over
     // the lanes (1.0 = perfectly even).
-    std::uint64_t shard_totals[smartconf::sim::kShards] = {};
+    std::uint64_t shard_totals[kShards] = {};
     for (const auto &r : cold)
-        for (std::size_t s = 0; s < r.shard_ops.size() &&
-                                s < smartconf::sim::kShards; ++s)
+        for (std::size_t s = 0; s < r.shard_ops.size() && s < kShards;
+             ++s)
             shard_totals[s] += r.shard_ops[s];
     std::uint64_t shard_sum = 0, shard_max = 0;
     for (const std::uint64_t v : shard_totals) {
@@ -101,7 +102,7 @@ main(int argc, char **argv)
     }
     const double shard_imbalance =
         shard_sum > 0 ? static_cast<double>(shard_max) *
-                            static_cast<double>(smartconf::sim::kShards) /
+                            static_cast<double>(kShards) /
                             static_cast<double>(shard_sum)
                       : 0.0;
 
@@ -154,7 +155,7 @@ main(int argc, char **argv)
         // Logical-layout invariants: identical at any --jobs, so they
         // participate in the payload sha.
         std::printf("  \"shard_ops\": [");
-        for (std::size_t s = 0; s < smartconf::sim::kShards; ++s)
+        for (std::size_t s = 0; s < kShards; ++s)
             std::printf("%s%llu", s == 0 ? "" : ", ",
                         static_cast<unsigned long long>(
                             shard_totals[s]));
@@ -206,8 +207,7 @@ main(int argc, char **argv)
 
     std::printf("Experiment-runner sweep benchmark\n\n");
     std::printf("workers (--jobs): %zu\n", runner.jobs());
-    std::printf("logical shards per run: %zu\n",
-                static_cast<std::size_t>(smartconf::sim::kShards));
+    std::printf("logical shards per run: %zu\n", kShards);
     std::printf("shard imbalance (max/mean over lanes): %.4f\n",
                 shard_imbalance);
     std::printf("disk cache: %s\n",

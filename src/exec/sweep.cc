@@ -105,25 +105,18 @@ SweepJob::custom(const std::string &cache_key,
 
 SweepRunner::SweepRunner(SweepOptions opts)
     : jobs_(opts.jobs == 0 ? ThreadPool::defaultConcurrency()
-                           : opts.jobs),
-      use_cache_(opts.cache)
+                           : opts.jobs)
 {
-    if (use_cache_ && !opts.disk_cache_dir.empty())
+    if (!opts.disk_cache_dir.empty())
         cache_.attachDiskCache(opts.disk_cache_dir);
-}
-
-scenarios::ScenarioResult
-SweepRunner::execute(const SweepJob &job)
-{
-    if (use_cache_ && !job.cache_key.empty())
-        return cache_.getOrRun(job.cache_key, [&job] { return runJob(job); });
-    return runJob(job);
 }
 
 scenarios::ScenarioResult
 SweepRunner::runOne(const SweepJob &job)
 {
-    return execute(job);
+    if (!job.cache_key.empty())
+        return cache_.getOrRun(job.cache_key, [&job] { return runJob(job); });
+    return runJob(job);
 }
 
 void
@@ -133,9 +126,9 @@ SweepRunner::runGroup(const std::vector<SweepJob> &jobs,
                       std::vector<std::exception_ptr> &errors)
 {
     const SweepJob &lead = jobs[group.front()];
-    if (lead.fn) {
+    if (lead.fn || lead.cache_key.empty()) {
         try {
-            results[group.front()] = execute(lead);
+            results[group.front()] = runOne(lead);
         } catch (...) {
             errors[group.front()] = std::current_exception();
         }
@@ -175,24 +168,14 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
     std::vector<scenarios::ScenarioResult> results(jobs.size());
     std::exception_ptr error;
     try {
-        if (!use_cache_) {
-            // Job by job (a group fills its keys through the cache): on
-            // a job exception parallelFor still runs every index before
-            // rethrowing the lowest-index error.
-            pool_->parallelFor(jobs.size(), [&](std::size_t i) {
-                results[i] = execute(jobs[i]);
-            });
-        } else {
-            const std::vector<std::vector<std::size_t>> groups =
-                groupJobs(jobs);
-            std::vector<std::exception_ptr> errors(jobs.size());
-            pool_->parallelFor(groups.size(), [&](std::size_t g) {
-                runGroup(jobs, groups[g], results, errors);
-            });
-            for (const std::exception_ptr &e : errors)
-                if (e)
-                    std::rethrow_exception(e);
-        }
+        const std::vector<std::vector<std::size_t>> groups = groupJobs(jobs);
+        std::vector<std::exception_ptr> errors(jobs.size());
+        pool_->parallelFor(groups.size(), [&](std::size_t g) {
+            runGroup(jobs, groups[g], results, errors);
+        });
+        for (const std::exception_ptr &e : errors)
+            if (e)
+                std::rethrow_exception(e);
     } catch (...) {
         error = std::current_exception();
     }

@@ -19,8 +19,8 @@
  * policies on one workload — form a group, run as one
  * Scenario::runPolicies call that generates the workload once for
  * every policy.  Groups form in order of first appearance; custom jobs
- * stay alone.  With the cache off every job runs alone (a group fills
- * its keys through RunCache::getOrRunGroup).
+ * and jobs without a cache key stay alone (a group fills its keys
+ * through RunCache::getOrRunGroup).
  *
  * Isolation rule: a group never shares a Scenario instance with
  * another group.  The scenario-id and factory constructors build the
@@ -98,12 +98,9 @@ struct SweepOptions
      *  concurrency; 1 = every job on the calling thread. */
     std::size_t jobs = 0;
 
-    /** Memoize results across jobs and sweeps on this runner. */
-    bool cache = true;
-
     /**
      * Root of a persistent cross-process result store (see
-     * DiskRunCache); empty disables it.  Requires `cache`.
+     * DiskRunCache); empty disables it.
      */
     std::string disk_cache_dir;
 };
@@ -133,7 +130,8 @@ class SweepRunner
     std::vector<scenarios::ScenarioResult>
     run(const std::vector<SweepJob> &jobs);
 
-    /** Execute a single job (through the cache, inline). */
+    /** Execute a single job inline, through the cache unless its key
+     *  is empty. */
     scenarios::ScenarioResult runOne(const SweepJob &job);
 
     /** Wall-clock milliseconds spent inside the last run() call. */
@@ -143,8 +141,6 @@ class SweepRunner
     RunCache &cache() { return cache_; }
 
   private:
-    scenarios::ScenarioResult execute(const SweepJob &job);
-
     /** Fill results/errors at the indices of one job group. */
     void runGroup(const std::vector<SweepJob> &jobs,
                   const std::vector<std::size_t> &group,
@@ -152,7 +148,6 @@ class SweepRunner
                   std::vector<std::exception_ptr> &errors);
 
     std::size_t jobs_;
-    bool use_cache_;
     RunCache cache_;
     std::unique_ptr<ThreadPool> pool_; // lazily built, reused
     double last_wall_ms_ = 0.0;

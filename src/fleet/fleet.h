@@ -25,7 +25,7 @@
  * count (kFleetGroups contiguous ranges), every tenant owns a private
  * Rng stream forked by tenant id, and groups share no mutable state —
  * so the result is byte-identical at any `--jobs`, like the logical
- * shard layout of a run (sim/shard.h).
+ * lane layout of a run's workload (workload/sharded.h).
  *
  * Traffic: one ZipfianGenerator over the tenant population (YCSB skew,
  * the alias-table sampler) draws each epoch's ops; per-tenant load is
@@ -55,7 +55,7 @@ class ThreadPool;
 namespace smartconf::fleet {
 
 /** Logical epoch-body groups; fixed so grouping never depends on the
- *  worker count (the same trick as sim::kShards). */
+ *  worker count (the same trick as workload::kShards). */
 inline constexpr std::size_t kFleetGroups = 64;
 
 struct FleetParams

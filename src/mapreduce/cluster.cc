@@ -122,7 +122,7 @@ MrCluster::step(sim::Tick now)
     for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
         Worker &w = workers_[wi];
         // Other-data random walk (DFS blocks, logs, shuffle of other
-        // jobs), drawn from the worker's own shard stream.
+        // jobs), drawn from the worker's own stream.
         w.other_mb += w.rng.uniform(-params_.other_walk_mb,
                                     params_.other_walk_mb);
         w.other_mb = std::clamp(w.other_mb, params_.other_base_mb * 0.6,
@@ -143,7 +143,7 @@ MrCluster::step(sim::Tick now)
                 w.retained.push_back(
                     {it->spill_total_mb, now + params_.fetch_delay});
                 ++completed_tasks_;
-                ++shard_ops_[wi % sim::kShards];
+                ++shard_ops_[wi % workload::kShards];
                 it = w.running.erase(it);
             } else {
                 ++it;

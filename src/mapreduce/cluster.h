@@ -31,7 +31,7 @@
 
 #include "sim/clock.h"
 #include "sim/rng.h"
-#include "sim/shard.h"
+#include "workload/sharded.h"
 #include "workload/wordcount.h"
 
 namespace smartconf::mapreduce {
@@ -101,11 +101,10 @@ class MrCluster
     std::uint64_t completedTasks() const { return completed_tasks_; }
 
     /**
-     * Tasks completed per logical shard (worker w maps to lane
-     * w % sim::kShards) — MR2820's slice of the sharded data plane's
-     * per-shard result surface.
+     * Tasks completed per logical lane (worker w maps to lane
+     * w % workload::kShards): MR2820's ScenarioResult::shard_ops.
      */
-    const std::array<std::uint64_t, sim::kShards> &shardOps() const
+    const std::array<std::uint64_t, workload::kShards> &shardOps() const
     {
         return shard_ops_;
     }
@@ -128,10 +127,8 @@ class MrCluster
 
     struct Worker
     {
-        /** Shard-local stream for this worker's other-data walk,
-         *  jump-derived from the master stream so workers never
-         *  contend on one generator (per-shard state struct of the
-         *  sharded data plane). */
+        /** This worker's stream for its other-data walk, jump-derived
+         *  from the master stream, so no two workers share one. */
         sim::Rng rng;
         double other_mb = 0.0;
         std::vector<RunningTask> running;
@@ -145,7 +142,7 @@ class MrCluster
     double minspace_effective_; ///< what workers currently enforce
     sim::Rng rng_;              ///< master stream (spill jitter)
     std::vector<Worker> workers_;
-    std::array<std::uint64_t, sim::kShards> shard_ops_{};
+    std::array<std::uint64_t, workload::kShards> shard_ops_{};
     std::deque<double> pending_; ///< spill size per pending task
     std::uint64_t parallelism_ = 1;
     sim::Tick job_submitted_ = -1;

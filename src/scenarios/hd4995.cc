@@ -6,7 +6,7 @@
 #include "core/smartconf.h"
 #include "dfs/namenode.h"
 #include "scenarios/control.h"
-#include "workload/sharded.h"
+#include "workload/dfsio.h"
 
 namespace smartconf::scenarios {
 
@@ -119,8 +119,7 @@ Hd4995Scenario::profile(std::uint64_t seed) const
         rt->setCurrentValue(kConfName, setting);
         // Profiling runs the same TestDFSIO client mix the evaluation
         // uses, so the fitted gain reflects the full queue-drain effect.
-        workload::ShardedDfsioGenerator gen(dfsioParams(opts_, true),
-                                     rng.fork(2));
+        workload::DfsioGenerator gen(dfsioParams(opts_, true), rng.fork(2));
 
         // A chunk's worst write wait is only fully known once the write
         // backlog it created has drained; pair (hold, wait) then.
@@ -183,7 +182,7 @@ Hd4995Scenario::run(const Policy &policy, std::uint64_t seed) const
     sim::Rng rng(seed);
     dfs::Namenode nn(namenodeParams(opts_, opts_.writes_per_tick),
                      static_cast<std::uint64_t>(initial_limit));
-    workload::ShardedDfsioGenerator gen(dfsioParams(opts_, true), rng.fork(2));
+    workload::DfsioGenerator gen(dfsioParams(opts_, true), rng.fork(2));
 
     const fault::ChaosHooks chaos = chaosHooksFor(policy, seed);
     chaos.seedActuation(initial_limit);

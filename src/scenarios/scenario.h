@@ -130,10 +130,10 @@ struct ScenarioResult
     std::uint64_t faults_injected = 0;
 
     /**
-     * Data-plane ops served per logical shard (sim::kShards entries,
-     * pinned lane order; empty for scenarios without a sharded
-     * producer).  A function of the logical layout alone — part of
-     * the byte-identical result surface — and the source of
+     * Workload ops counted per logical lane (workload::kShards
+     * entries, pinned lane order; empty for scenarios without a
+     * lane-counted producer).  A function of the logical layout alone
+     * — part of the byte-identical result surface — and the source of
      * bench_sweep's shard-imbalance stat.
      */
     std::vector<std::uint64_t> shard_ops;

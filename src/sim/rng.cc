@@ -178,8 +178,8 @@ polyJump(std::uint64_t s[4])
  * state is the XOR of the rows selected by its set bits — one table
  * row per set bit (~128 on average) instead of 1024 full state
  * transitions, and bit-identical to the polynomial walk.  Built once
- * per process (256 basis walks); every ShardPlane construction after
- * that pays ~128 row XORs per lane.
+ * per process (256 basis walks); every jump after that pays ~128 row
+ * XORs.
  */
 struct JumpMatrix
 {

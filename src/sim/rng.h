@@ -150,10 +150,11 @@ class Rng
     /**
      * Advance this generator by 2^128 steps (the canonical xoshiro256**
      * jump polynomial): repeated jumps carve one seed into
-     * non-overlapping substreams, which is how the sharded data plane
-     * derives its per-shard lane streams (sim/shard.h).  The logical
-     * seed is remixed alongside the state so fork() on a jumped stream
-     * yields streams distinct from forks of the unjumped one.
+     * non-overlapping substreams, which is how ShardedYcsbGenerator
+     * derives its lane streams (workload/sharded.h) and MrCluster its
+     * per-worker streams.  The logical seed is remixed alongside the
+     * state so fork() on a jumped stream yields streams distinct from
+     * forks of the unjumped one.
      */
     void jump();
 

@@ -22,6 +22,10 @@ constexpr std::size_t kMaxShards = 256;
 /** A shard also seals once its pending payloads reach this size. */
 constexpr std::size_t kFlushBytes = 4u << 20;
 
+/** Listings one rescan takes at most while the directory keeps
+ *  changing under it. */
+constexpr int kScanAttempts = 8;
+
 /** seg-<shard 2hex>-<seq 16hex>-<pid hex>.seg */
 std::string
 segmentName(std::uint32_t shard, std::uint64_t seq)
@@ -391,6 +395,22 @@ SegmentStore::rescanIfStale()
 void
 SegmentStore::rescanLocked()
 {
+    // A listing raced a change when the directory stamp moved while it
+    // was read, or when a listed segment vanished before it was opened:
+    // a compaction in another process can rename its merged segment in
+    // behind the listing and unlink the inputs before they are opened,
+    // and then this scan would hold neither copy.  List again, a
+    // bounded number of times.
+    int attempt = 1;
+    while (!scanOnceLocked() && attempt < kScanAttempts)
+        ++attempt;
+    std::lock_guard<std::mutex> slock(stats_mu_);
+    ++stats_.rescans;
+}
+
+bool
+SegmentStore::scanOnceLocked()
+{
     // Stamp *before* listing: a publish racing the scan then re-dirties
     // the stamp and the next miss rescans again.
     last_scan_stamp_ = dirStamp(dir_);
@@ -417,6 +437,7 @@ SegmentStore::rescanLocked()
     while (cur < max_seq && !seq_.compare_exchange_weak(cur, max_seq)) {
     }
     scanned_ = true;
+    bool consistent = dirStamp(dir_) == last_scan_stamp_;
 
     for (std::uint32_t s = 0; s < opts_.shard_count; ++s) {
         Shard &sh = *shards_[s];
@@ -430,9 +451,9 @@ SegmentStore::rescanLocked()
                                       on_disk.end();
                            }),
             sh.segments.end());
-        // …and open newcomers.  A name that fails to open was either
-        // deleted between listing and open or is damaged: skip it —
-        // every entry it held degrades to a miss.
+        // …and open newcomers.  A name that fails to open and still
+        // exists is damaged: skip it — every entry it held degrades to
+        // a miss.  One that no longer exists makes the listing stale.
         std::unordered_set<std::string> known;
         for (const auto &seg : sh.segments)
             known.insert(seg->name);
@@ -441,14 +462,15 @@ SegmentStore::rescanLocked()
                 continue;
             if (auto seg = openSegment(name))
                 sh.segments.push_back(std::move(seg));
+            else if (!fs::exists(dir_ + "/" + name, ec))
+                consistent = false;
         }
         std::sort(sh.segments.begin(), sh.segments.end(),
                   [](const auto &a, const auto &b) {
                       return a->seq > b->seq;
                   });
     }
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.rescans;
+    return consistent;
 }
 
 bool

@@ -28,9 +28,11 @@
  *    indexes), publishes it by rename, and only then unlinks the
  *    inputs.  A reader races this safely: either it still holds the
  *    old fds (POSIX keeps the bytes alive), or its listing sees the
- *    merged segment; duplicate coverage during the swap window is
- *    harmless because entries are pure values and lookups stop at the
- *    newest match.
+ *    merged segment.  A listing that missed the merged segment and
+ *    then found its inputs gone (or saw the directory mtime move) is
+ *    taken again, a bounded number of times; duplicate coverage during
+ *    the swap window is harmless because entries are pure values and
+ *    lookups stop at the newest match.
  *
  * Thread safety: all public methods are safe to call concurrently;
  * per-shard mutexes guard pending buffers and segment lists, a store
@@ -253,6 +255,8 @@ class SegmentStore
     std::shared_ptr<OpenSegment> openSegment(const std::string &name);
     void rescanIfStale();
     void rescanLocked();
+    /** One listing; false if it raced a change (see rescanLocked). */
+    bool scanOnceLocked();
     bool lookupSegments(const std::string &key, std::uint64_t hash,
                         Shard &sh, std::vector<char> &out);
     CompactionResult compactShards(std::size_t min_segments);

@@ -11,11 +11,13 @@
  * holds the global namespace lock and blocks client writes.
  */
 
+#include <array>
 #include <cstdint>
 #include <optional>
 
 #include "sim/clock.h"
 #include "sim/rng.h"
+#include "workload/sharded.h"
 
 namespace smartconf::workload {
 
@@ -41,7 +43,11 @@ struct DfsioParams
 };
 
 /**
- * Generates per-tick namenode arrivals.
+ * Generates per-tick namenode arrivals, counted per logical lane.  A
+ * tick draws only its write count, from the rng it is given; a write
+ * carries nothing drawn, so the lanes draw nothing and only count: a
+ * tick's writes by the block rule (workload/sharded.h), its du against
+ * the tick's rotating lane.
  */
 class DfsioGenerator
 {
@@ -49,21 +55,27 @@ class DfsioGenerator
     DfsioGenerator(const DfsioParams &params, sim::Rng rng);
 
     /**
-     * The arrivals during tick @p now.  A tick draws only its write
-     * count (one gaussian()); a du is issued on the first tick and
-     * every du_period ticks after.
+     * The arrivals during tick @p now.  The write count is what one
+     * gaussian() per tick would give (BatchSizes draws ahead); a du is
+     * issued on the first tick and every du_period ticks after.
      */
     DfsioTick tick(sim::Tick now);
-
-    void setParams(const DfsioParams &params) { params_ = params; }
-    const DfsioParams &params() const { return params_; }
 
     /** Total requests (writes and du commands) generated so far. */
     std::uint64_t generated() const { return generated_; }
 
+    /** Requests counted per lane; they sum to generated(). */
+    const std::array<std::uint64_t, kShards> &shardOps() const
+    {
+        return ops_;
+    }
+
   private:
     DfsioParams params_;
     sim::Rng rng_;
+    BatchSizes sizes_;
+    std::array<std::uint64_t, kShards> ops_{};
+    std::uint64_t seq_ = 0; ///< ticks drawn so far
     sim::Tick last_du_ = -1;
     std::uint64_t generated_ = 0;
 };

@@ -3,38 +3,68 @@
 
 /**
  * @file
- * Shard-split workload generators (the sharded data plane's producers).
+ * The logical shard layout of the workload streams.
  *
- * These mirror YcsbGenerator / DfsioGenerator knob-for-knob but
- * partition each tick's batch across the fixed logical shards of a
- * sim::ShardPlane: the per-tick batch size comes from the plane's
- * control stream, and each YCSB block of the batch is produced
- * *entirely* by its lane — one drawOps pass of coins, skipped key
- * words and size jitter from that lane's jump-derived stream.  The
- * (n, tick_seq) -> block/lane layout is pure and every lane owns its
- * gaussian spare, so the batch is a function of the layout alone;
- * blocks run serially, in block order.
+ * A tick's batch is cut into blocks, and each block is counted against
+ * one of kShards logical lanes; a YCSB block is also drawn, whole, from
+ * its lane's stream.  The layout and the lane streams define the
+ * output: the ops a plant sees and the per-lane counts a run reports
+ * (ScenarioResult::shard_ops).  Blocks run serially, in block order, on
+ * the run's thread; parallelism lives across runs and fleet groups
+ * (exec::ThreadPool), where the work is coarse.
  *
- * The RNG stream this defines *differs* from the single-stream
- * generators (the one sanctioned re-pin of the sharded-data-plane
- * change) and has been pinned since.
+ * The block rule: a tick of n ops whose sequence number is seq (the
+ * count of ticks drawn before it) is cut into
+ * B = clamp(ceil(n / kShardGranule), 1, kShards) blocks, and block b
+ * covers [b·n/B, (b+1)·n/B) on lane (seq + b) % kShards.  B <= kShards,
+ * so the blocks of one tick never share a lane, and the seq rotation
+ * spreads consecutive small ticks over every lane.
+ *
+ * No sensor reads the lanes: a controller measures the plant's own
+ * state (a queue, a heap, a lock's waits).
  */
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "sim/clock.h"
 #include "sim/rng.h"
-#include "sim/shard.h"
-#include "workload/dfsio.h"
 #include "workload/ycsb.h"
 
 namespace smartconf::workload {
 
+/** Fixed logical lane count. */
+inline constexpr std::size_t kShards = 16;
+
+/** Target ops per block: typical ticks (n <= 32) stay one block. */
+inline constexpr std::size_t kShardGranule = 32;
+
 /**
- * Per-tick batch sizes from a control stream that nothing else reads.
- * The standard normals are drawn 64 ahead by one gaussianBatch(0, 1),
+ * Call @p block(lane, begin, end) for each block of an @p n-op tick
+ * whose sequence number is @p seq, in block order (the block rule
+ * above).  An empty tick is one empty block.
+ */
+template <typename Block>
+void
+forEachBlock(std::size_t n, std::uint64_t seq, Block &&block)
+{
+    const std::size_t blocks = std::clamp<std::size_t>(
+        (n + kShardGranule - 1) / kShardGranule, 1, kShards);
+    std::size_t begin = 0;
+    for (std::size_t b = 0; b < blocks; ++b) {
+        // The last block ends at blocks·n/blocks = n: typical one-block
+        // ticks divide nothing.
+        const std::size_t end = b + 1 == blocks ? n : (b + 1) * n / blocks;
+        block(static_cast<std::size_t>((seq + b) % kShards), begin, end);
+        begin = end;
+    }
+}
+
+/**
+ * Per-tick batch sizes from a stream that nothing else reads.  The
+ * standard normals are drawn 64 ahead by one gaussianBatch(0, 1),
  * which yields the same values in the same order as successive
  * gaussian() calls; drawing ahead is invisible only because no other
  * reader shares the stream.
@@ -43,8 +73,8 @@ class BatchSizes
 {
   public:
     /** max(0, round(mean + stddev * z)) for the stream's next normal
-     *  z: what control.gaussian(mean, stddev) would give. */
-    std::uint64_t next(sim::Rng &control, double mean, double stddev);
+     *  z: what rng.gaussian(mean, stddev) would give. */
+    std::uint64_t next(sim::Rng &rng, double mean, double stddev);
 
   private:
     std::array<double, 64> z_{};
@@ -52,19 +82,19 @@ class BatchSizes
 };
 
 /**
- * YCSB batches produced per logical shard.
+ * YCSB batches, each block drawn from its lane.  The batch size comes
+ * from a control stream (the rng the generator is given); lane s's
+ * stream is the (s+1)-th successive Rng::jump of it (2^128 steps
+ * apart: non-overlapping by construction).  A block is one drawOps
+ * pass on its lane, and every lane carries its own gaussian spare, so
+ * a tick is a function of the layout and the lane streams alone.
  */
 class ShardedYcsbGenerator
 {
   public:
-    /** @p rng becomes the plane's base: control stream plus kShards
-     *  jump-derived lane streams. */
     ShardedYcsbGenerator(const YcsbParams &params, sim::Rng rng);
 
-    /**
-     * Fill @p out (resized, buffer reused) with one tick's operations.
-     * Each block [begin, end) is one drawOps pass on its lane.
-     */
+    /** Fill @p out (resized, buffer reused) with one tick's operations. */
     void tickInto(std::vector<Op> &out) { drawTick(out, 0); }
 
     /** tickInto that appends the tick's operations to @p out in place
@@ -77,34 +107,10 @@ class ShardedYcsbGenerator
 
     std::uint64_t generated() const { return generated_; }
 
-    /** Ops produced per logical shard (pinned lane order). */
-    const std::array<std::uint64_t, sim::kShards> &shardOps() const
+    /** Ops drawn per lane, counted as the blocks are drawn. */
+    const std::array<std::uint64_t, kShards> &shardOps() const
     {
-        return plane_.opsPerShard();
-    }
-
-    /**
-     * Call @p block(lane, begin, end) for each block of an @p n-op tick
-     * whose sequence number is @p seq, in block order: the layout a
-     * tick is drawn and counted by (seq is the count of ticks drawn
-     * before it).
-     */
-    template <typename Block>
-    static void forEachBlock(std::size_t n, std::uint64_t seq,
-                             Block &&block)
-    {
-        if (n <= sim::kShardGranule) {
-            // Typical ticks are one block: the layout shardLayout
-            // would produce ([0, n) on lane seq % kShards), without
-            // building the span table on every tick.
-            block(static_cast<std::size_t>(seq % sim::kShards),
-                  std::size_t{0}, n);
-            return;
-        }
-        sim::ShardSpan spans[sim::kShards];
-        const std::size_t blocks = sim::shardLayout(n, seq, spans);
-        for (std::size_t b = 0; b < blocks; ++b)
-            block(spans[b].lane, spans[b].begin, spans[b].end);
+        return ops_;
     }
 
   private:
@@ -113,43 +119,16 @@ class ShardedYcsbGenerator
     void drawTick(std::vector<Op> &out, std::size_t at);
 
     YcsbParams params_;
-    sim::ShardPlane plane_;
+    sim::Rng control_;
+    std::array<sim::Rng, kShards> lanes_;
+    std::array<std::uint64_t, kShards> ops_{};
+    std::uint64_t seq_ = 0; ///< ticks drawn so far
     BatchSizes sizes_;
     std::uint64_t generated_ = 0;
 
     /** drawOps's buffers, sized for the longest block so far. */
     std::vector<std::uint64_t> words_;
     std::vector<double> jitter_;
-};
-
-/**
- * TestDFSIO namenode arrivals, counted per logical shard.  The write
- * count comes from the control stream; a write carries nothing drawn,
- * so the lanes draw no word, and each block's writes count against its
- * lane.  The periodic admin `du` stays on the control path (it draws
- * no RNG word and is one request per du_period ticks).
- */
-class ShardedDfsioGenerator
-{
-  public:
-    ShardedDfsioGenerator(const DfsioParams &params, sim::Rng rng);
-
-    /** The arrivals during tick @p now (see DfsioGenerator::tick). */
-    DfsioTick tick(sim::Tick now);
-
-    std::uint64_t generated() const { return generated_; }
-
-    const std::array<std::uint64_t, sim::kShards> &shardOps() const
-    {
-        return plane_.opsPerShard();
-    }
-
-  private:
-    DfsioParams params_;
-    sim::ShardPlane plane_;
-    BatchSizes sizes_;
-    sim::Tick last_du_ = -1;
-    std::uint64_t generated_ = 0;
 };
 
 } // namespace smartconf::workload

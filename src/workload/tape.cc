@@ -56,13 +56,11 @@ YcsbTape::shardOps(sim::Tick ticks) const
     assert(ticks >= 0 && ticks <= this->ticks());
     // Tick t was the generator's (t + 1)-th draw, so its sequence
     // number is t.
-    std::vector<std::uint64_t> out(sim::kShards, 0);
+    std::vector<std::uint64_t> out(kShards, 0);
     for (std::size_t t = 0; t < static_cast<std::size_t>(ticks); ++t)
-        ShardedYcsbGenerator::forEachBlock(
-            ticks_[t].count, t,
-            [&out](std::size_t lane, std::size_t begin, std::size_t end) {
-                out[lane] += end - begin;
-            });
+        forEachBlock(ticks_[t].count, t,
+                     [&out](std::size_t lane, std::size_t begin,
+                            std::size_t end) { out[lane] += end - begin; });
     return out;
 }
 

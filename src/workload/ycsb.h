@@ -8,8 +8,9 @@
  * The paper profiles and evaluates the key-value case studies (CA6059,
  * HB2149, HB3813, HB6728) with YCSB; workloads are described by a write
  * fraction (xW), a request size (yMB) and a read index-cache ratio (Cz)
- * — see Table 6.  This generator reproduces those knobs on top of the
- * deterministic RNG: per-tick operation batches with configurable
+ * — see Table 6.  This generator reproduces the first two on top of the
+ * deterministic RNG (Cz is a plant setting: CA6059 schedules its own
+ * cache ratio): per-tick operation batches with configurable
  * arrival-rate burstiness, each op a read or write coin and a jittered
  * payload size.  The plants read an op's type and size only, so no
  * key is resolved: each op's key word is still drawn, which keeps the
@@ -37,12 +38,11 @@ struct Op
     double size_mb = 0.0; ///< payload for writes, response size for reads
 };
 
-/** Table 6 workload knobs: "xW, yMB, Cz". */
+/** Table 6 workload knobs "xW, yMB", and the arrival process. */
 struct YcsbParams
 {
     double write_fraction = 0.5;  ///< xW: fraction of ops that are writes
     double request_size_mb = 1.0; ///< yMB: mean payload size
-    double cache_ratio = 0.0;     ///< Cz: read index cache ratio
 
     double ops_per_tick = 20.0;   ///< mean arrival rate
     double burstiness = 0.3;      ///< relative stddev of per-tick batch

@@ -12,7 +12,7 @@
 #include "exec/disk_cache.h"
 #include "fault/spec.h"
 #include "scenarios/scenario.h"
-#include "sim/shard.h"
+#include "workload/sharded.h"
 
 namespace {
 
@@ -74,8 +74,8 @@ TEST(SweepDeterminism, Jobs1AndJobs8BitIdenticalForAllSixScenarios)
 {
     const std::vector<SweepJob> jobs = allScenarioJobs();
 
-    SweepRunner serial(SweepOptions{1, true, {}});
-    SweepRunner parallel(SweepOptions{8, true, {}});
+    SweepRunner serial(SweepOptions{1, {}});
+    SweepRunner parallel(SweepOptions{8, {}});
     EXPECT_EQ(serial.jobs(), 1u);
     EXPECT_EQ(parallel.jobs(), 8u);
 
@@ -109,12 +109,12 @@ TEST(SweepDeterminism, JobsMatrixBitIdentical)
             smartconf::fault::ChaosSpec::kitchenSink(7)),
         1));
 
-    SweepRunner base(SweepOptions{1, true, {}});
+    SweepRunner base(SweepOptions{1, {}});
     const std::vector<ScenarioResult> ref = base.run(jobs);
     ASSERT_EQ(ref.size(), jobs.size());
 
     for (const std::size_t njobs : {std::size_t{2}, std::size_t{8}}) {
-        SweepRunner runner(SweepOptions{njobs, true, {}});
+        SweepRunner runner(SweepOptions{njobs, {}});
         const std::vector<ScenarioResult> got = runner.run(jobs);
         ASSERT_EQ(got.size(), ref.size());
         for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -132,14 +132,13 @@ TEST(SweepDeterminism, ShardOpsSumMatchesOpsSimulated)
     // The per-shard counters partition the generated workload: lanes
     // sum to the run's ops_simulated for every generator-driven
     // scenario (MR2820 counts completed tasks on both sides too).
-    SweepRunner runner(SweepOptions{1, true, {}});
+    SweepRunner runner(SweepOptions{1, {}});
     for (const char *id : {"HB3813", "HB6728", "HB2149", "CA6059",
                            "HD4995", "MR2820"}) {
         const ScenarioResult r = runner.runOne(SweepJob::forScenario(
             id, Policy::smart(), 3));
         SCOPED_TRACE(id);
-        ASSERT_EQ(r.shard_ops.size(),
-                  static_cast<std::size_t>(smartconf::sim::kShards));
+        ASSERT_EQ(r.shard_ops.size(), smartconf::workload::kShards);
         std::uint64_t sum = 0;
         for (const std::uint64_t v : r.shard_ops)
             sum += v;
@@ -198,7 +197,7 @@ TEST(SweepDeterminism, ResultBytesPinnedForEveryPolicyFamily)
 TEST(SweepDeterminism, ReplayOnWarmCacheIsAllHitsAndIdentical)
 {
     const std::vector<SweepJob> jobs = allScenarioJobs();
-    SweepRunner runner(SweepOptions{4, true, {}});
+    SweepRunner runner(SweepOptions{4, {}});
 
     const std::vector<ScenarioResult> first = runner.run(jobs);
     const std::vector<ScenarioResult> second = runner.run(jobs);
@@ -222,7 +221,7 @@ TEST(SweepDeterminism, ResultsArriveInSubmissionOrder)
             return r;
         }));
 
-    SweepRunner runner(SweepOptions{8, true, {}});
+    SweepRunner runner(SweepOptions{8, {}});
     const std::vector<ScenarioResult> out = runner.run(jobs);
     ASSERT_EQ(out.size(), jobs.size());
     for (int i = 0; i < 8; ++i)
@@ -236,7 +235,7 @@ TEST(SweepDeterminism, DuplicateJobsSimulateOnce)
         jobs.push_back(
             SweepJob::forScenario("HB3813", Policy::smart(), 1));
 
-    SweepRunner runner(SweepOptions{4, true, {}});
+    SweepRunner runner(SweepOptions{4, {}});
     const std::vector<ScenarioResult> out = runner.run(jobs);
     EXPECT_EQ(runner.cache().stats().misses, 1u);
     EXPECT_EQ(runner.cache().stats().hits, 5u);
@@ -256,9 +255,9 @@ TEST(SweepDeterminism, JobExceptionPropagatesFromRun)
         throw std::runtime_error("job failed");
     }));
 
-    SweepRunner serial(SweepOptions{1, true, {}});
+    SweepRunner serial(SweepOptions{1, {}});
     EXPECT_THROW(serial.run(jobs), std::runtime_error);
-    SweepRunner parallel(SweepOptions{4, true, {}});
+    SweepRunner parallel(SweepOptions{4, {}});
     EXPECT_THROW(parallel.run(jobs), std::runtime_error);
 
     // The throwing job first, then a keyed one: the keyed job still
@@ -273,8 +272,8 @@ TEST(SweepDeterminism, JobExceptionPropagatesFromRun)
         r.scenario_id = "k2";
         return r;
     }));
-    SweepRunner serial_ff(SweepOptions{1, true, {}});
-    SweepRunner parallel_ff(SweepOptions{4, true, {}});
+    SweepRunner serial_ff(SweepOptions{1, {}});
+    SweepRunner parallel_ff(SweepOptions{4, {}});
     EXPECT_THROW(serial_ff.run(failing_first), std::runtime_error);
     EXPECT_THROW(parallel_ff.run(failing_first), std::runtime_error);
     EXPECT_EQ(serial_ff.cache().size(), 1u);
@@ -288,7 +287,7 @@ TEST(SweepDeterminism, JobExceptionPropagatesFromRun)
 
 TEST(SweepDeterminism, UnknownScenarioIdThrows)
 {
-    SweepRunner runner(SweepOptions{1, true, {}});
+    SweepRunner runner(SweepOptions{1, {}});
     EXPECT_THROW(runner.run({SweepJob::forScenario(
                      "NOPE", Policy::smart(), 1)}),
                  std::invalid_argument);

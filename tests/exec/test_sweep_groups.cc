@@ -184,7 +184,7 @@ TEST(SweepGroups, GroupedMatchesJobByJobAtJobs1And4)
     ASSERT_LT(keys.size(), jobs.size());
 
     TempDir ref_dir("ref");
-    SweepRunner ref(SweepOptions{1, true, ref_dir.path()});
+    SweepRunner ref(SweepOptions{1, ref_dir.path()});
     const std::vector<ScenarioResult> want = runAlone(ref, jobs);
     EXPECT_EQ(ref.cache().stats().misses, keys.size());
     EXPECT_EQ(ref.cache().stats().disk_stores, keys.size());
@@ -192,12 +192,12 @@ TEST(SweepGroups, GroupedMatchesJobByJobAtJobs1And4)
     for (const std::size_t njobs : {std::size_t{1}, std::size_t{4}}) {
         SCOPED_TRACE("jobs=" + std::to_string(njobs));
         TempDir dir("j" + std::to_string(njobs));
-        SweepRunner runner(SweepOptions{njobs, true, dir.path()});
+        SweepRunner runner(SweepOptions{njobs, dir.path()});
         expectSameResults(runner.run(jobs), want);
         expectSameStats(runner.cache().stats(), ref.cache().stats());
 
         // A second process replays everything from disk.
-        SweepRunner warm(SweepOptions{njobs, true, dir.path()});
+        SweepRunner warm(SweepOptions{njobs, dir.path()});
         expectSameResults(warm.run(jobs), want);
         EXPECT_EQ(warm.cache().stats().disk_hits, keys.size());
         EXPECT_EQ(warm.cache().stats().disk_stores, 0u);
@@ -219,7 +219,7 @@ TEST(SweepGroups, DiskHitsLeaveOnlyTheRestToSimulate)
         for (const std::uint64_t seed : {1u, 2u, 3u, 4u})
             jobs.push_back(
                 probeJob(std::make_shared<ProbeLog>(), 2.0, seed));
-        SweepRunner(SweepOptions{1, true, dir}).run(jobs);
+        SweepRunner(SweepOptions{1, dir}).run(jobs);
     };
 
     for (const std::size_t njobs : {std::size_t{1}, std::size_t{4}}) {
@@ -229,12 +229,12 @@ TEST(SweepGroups, DiskHitsLeaveOnlyTheRestToSimulate)
         prefill(dir.path());
         prefill(ref_dir.path());
 
-        SweepRunner ref(SweepOptions{1, true, ref_dir.path()});
+        SweepRunner ref(SweepOptions{1, ref_dir.path()});
         const std::vector<ScenarioResult> want =
             runAlone(ref, jobsFor(std::make_shared<ProbeLog>()));
 
         const auto log = std::make_shared<ProbeLog>();
-        SweepRunner runner(SweepOptions{njobs, true, dir.path()});
+        SweepRunner runner(SweepOptions{njobs, dir.path()});
         expectSameResults(runner.run(jobsFor(log)), want);
         expectSameStats(runner.cache().stats(), ref.cache().stats());
         EXPECT_EQ(runner.cache().stats().disk_hits, 4u);
@@ -259,12 +259,12 @@ TEST(SweepGroups, ThrowingPolicyFailsOnlyItsOwnKey)
         for (const std::uint64_t seed : {1u, 2u, 3u, 4u})
             jobs.push_back(probeJob(log, v, seed));
 
-    SweepRunner ref(SweepOptions{1, true, {}});
+    SweepRunner ref(SweepOptions{1, {}});
     runAlone(ref, jobs);
 
     for (const std::size_t njobs : {std::size_t{1}, std::size_t{4}}) {
         SCOPED_TRACE("jobs=" + std::to_string(njobs));
-        SweepRunner runner(SweepOptions{njobs, true, {}});
+        SweepRunner runner(SweepOptions{njobs, {}});
         try {
             runner.run(jobs);
             ADD_FAILURE() << "the sweep did not throw";
@@ -293,7 +293,7 @@ TEST(SweepGroups, FactoryJobsGroupInOrderOfFirstAppearance)
         probeJob(log, 1.0, 2), probeJob(log, 1.0, 1), probeJob(log, 2.0, 2),
         probeJob(log, 2.0, 1), probeJob(log, 1.0, 2), // a duplicate
     };
-    SweepRunner runner(SweepOptions{1, true, {}});
+    SweepRunner runner(SweepOptions{1, {}});
     const std::vector<ScenarioResult> out = runner.run(jobs);
     ASSERT_EQ(out.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -326,7 +326,7 @@ TEST(SweepGroups, CustomJobsAreNeverGrouped)
         jobs.push_back(probeJob(log, 1.0, 1));
         jobs.push_back(probeJob(log, 2.0, 1));
     }
-    SweepRunner runner(SweepOptions{1, true, {}});
+    SweepRunner runner(SweepOptions{1, {}});
     const std::vector<ScenarioResult> out = runner.run(jobs);
     EXPECT_EQ(calls, (std::vector<int>{1, 1, 1}));
     for (int c = 0; c < 3; ++c) {
@@ -341,26 +341,46 @@ TEST(SweepGroups, CustomJobsAreNeverGrouped)
     EXPECT_EQ(runner.cache().stats().hits, 4u);
 }
 
-TEST(SweepGroups, CacheOffRunsJobByJob)
+TEST(SweepGroups, OneGroupRunsAsOneCallOnFourRunners)
 {
-    // Without the cache no group forms: every job runs alone.  With it,
-    // one group is one runPolicies call even on a runner of four
-    // (bench_fig7_ablation's three jobs on one seed).
+    // One group is one runPolicies call even on a runner of four
+    // (bench_fig7_ablation's three jobs on one seed), and its results
+    // are those of each job run alone.
     const auto log = std::make_shared<ProbeLog>();
     std::vector<SweepJob> jobs;
     for (const double v : {1.0, 2.0, 3.0})
         jobs.push_back(probeJob(log, v, 1));
 
-    SweepRunner off(SweepOptions{4, false, {}});
-    const std::vector<ScenarioResult> alone = off.run(jobs);
+    SweepRunner ref(SweepOptions{1, {}});
+    const std::vector<ScenarioResult> alone = runAlone(ref, jobs);
     EXPECT_TRUE(log->groups.empty());
     EXPECT_EQ(log->runs, 3);
 
-    SweepRunner four(SweepOptions{4, true, {}});
+    SweepRunner four(SweepOptions{4, {}});
     const std::vector<ScenarioResult> out = four.run(jobs);
     ASSERT_EQ(log->groups.size(), 1u);
     EXPECT_EQ(log->groups[0], (std::vector<double>{1.0, 1.0, 2.0, 3.0}));
     expectSameResults(out, alone);
+}
+
+TEST(SweepGroups, JobsWithoutACacheKeyRunAloneUncached)
+{
+    // An empty key disables caching for the job: two keyless jobs of
+    // one (scenario, seed) neither group nor share a cache entry.
+    const auto log = std::make_shared<ProbeLog>();
+    std::vector<SweepJob> jobs;
+    for (const double v : {1.0, 2.0}) {
+        jobs.push_back(probeJob(log, v, 1));
+        jobs.back().cache_key.clear();
+    }
+    SweepRunner runner(SweepOptions{1, {}});
+    const std::vector<ScenarioResult> out = runner.run(jobs);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].tradeoff, 1.0);
+    EXPECT_EQ(out[1].tradeoff, 2.0);
+    EXPECT_TRUE(log->groups.empty());
+    EXPECT_EQ(log->runs, 2);
+    EXPECT_EQ(runner.cache().size(), 0u);
 }
 
 TEST(SweepGroups, FailedSweepStillPublishesFinishedJobs)
@@ -383,7 +403,7 @@ TEST(SweepGroups, FailedSweepStillPublishesFinishedJobs)
             for (const double v : {1.0, kThrow})
                 jobs.push_back(probeJob(log, v, seed));
 
-        SweepRunner runner(SweepOptions{njobs, true, dir.path()});
+        SweepRunner runner(SweepOptions{njobs, dir.path()});
         EXPECT_THROW(runner.run(jobs), std::runtime_error);
         EXPECT_GT(runner.lastWallMs(), 0.0);
 

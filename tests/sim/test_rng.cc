@@ -124,7 +124,7 @@ TEST(Rng, JumpIsDeterministicAndDiverges)
 
 TEST(Rng, RepeatedJumpsCarveDistinctStreams)
 {
-    // The ShardPlane derivation: walk one base stream with jump() and
+    // The lane derivation: walk one base stream with jump() and
     // collect a prefix of each substream; no two substreams (nor the
     // base) may collide on their first words.
     Rng walker(303);

@@ -46,5 +46,25 @@ TEST(Dfsio, FirstTickIssuesDu)
     EXPECT_TRUE(gen.tick(0).du_files.has_value());
 }
 
+TEST(Dfsio, EmitsPeriodicDuAndCountsIt)
+{
+    DfsioParams p;
+    p.writes_per_tick = 300.0;
+    p.burstiness = 0.25;
+    p.du_period = 10;
+    p.du_file_count = 1000;
+    DfsioGenerator gen(p, sim::Rng(22));
+    std::uint64_t du_count = 0;
+    for (sim::Tick t = 0; t < 100; ++t) {
+        if (gen.tick(t).du_files)
+            ++du_count;
+    }
+    EXPECT_EQ(du_count, 10u); // du_period 10 over 100 ticks
+    std::uint64_t sum = 0;
+    for (const std::uint64_t v : gen.shardOps())
+        sum += v;
+    EXPECT_EQ(sum, gen.generated());
+}
+
 } // namespace
 } // namespace smartconf::workload

@@ -4,13 +4,14 @@
  *
  * Each generator is compared with a reference written here from public
  * Rng calls, in the draw order the generators have always had: the
- * batch size from one gaussian() per tick (on the control stream for
- * the sharded ones), then per block a fillRaw of the type coins, a
- * fillRaw of the key words and a gaussianBatch of the size jitter.
- * Every op's type and size bits, every batch size, shardOps() and
- * generated() must match; for DFSIO, the write and du counts must
- * match the materialised request batches, and a namenode fed the
- * counts must end where one fed each request does.
+ * batch size from one gaussian() per tick (on the unjumped control
+ * stream for the sharded one), then per block a fillRaw of the type
+ * coins, a fillRaw of the key words and a gaussianBatch of the size
+ * jitter.  The references derive the lanes with Rng::jump and write
+ * the block rule out.  Every op's type and size bits, every batch
+ * size, shardOps() and generated() must match; for DFSIO, the write
+ * and du counts must match the materialised request batches, and a
+ * namenode fed the counts must end where one fed each request does.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +25,7 @@
 #include <vector>
 
 #include "dfs/namenode.h"
-#include "sim/shard.h"
+#include "workload/dfsio.h"
 #include "workload/sharded.h"
 
 namespace smartconf::workload {
@@ -62,37 +63,66 @@ referenceBlock(const YcsbParams &p, sim::Rng &rng, Op *ops,
     }
 }
 
+/** Lanes per stream. */
+constexpr std::size_t kLanes = 16;
+
+using LaneCounts = std::array<std::uint64_t, kLanes>;
+
+/**
+ * The block rule written out: a tick of n ops with sequence number seq
+ * is B = clamp(ceil(n / 32), 1, 16) blocks, and block b is
+ * [b·n/B, (b+1)·n/B) on lane (seq + b) % 16.
+ */
+template <typename Block>
+void
+referenceBlocks(std::size_t n, std::uint64_t seq, Block &&block)
+{
+    const std::size_t blocks =
+        std::clamp<std::size_t>((n + 31) / 32, 1, kLanes);
+    for (std::size_t b = 0; b < blocks; ++b)
+        block(static_cast<std::size_t>((seq + b) % kLanes), b * n / blocks,
+              (b + 1) * n / blocks);
+}
+
 /** ShardedYcsbGenerator drawn column by column, size by gaussian(). */
 struct ReferenceShardedYcsb
 {
     ReferenceShardedYcsb(const YcsbParams &p, sim::Rng rng)
-        : params(p), plane(rng)
-    {}
+        : params(p), control(rng)
+    {
+        // Lane s is the (s+1)-th successive jump of the given stream.
+        for (sim::Rng &lane : lanes) {
+            rng.jump();
+            lane = rng;
+        }
+    }
 
     void tickInto(std::vector<Op> &out)
     {
         const std::size_t n =
-            batchSize(plane.control(), params.ops_per_tick,
+            batchSize(control, params.ops_per_tick,
                       params.ops_per_tick * params.burstiness);
-        const std::uint64_t seq = plane.nextTickSeq();
         out.assign(n, Op{});
-        sim::ShardSpan spans[sim::kShards];
-        const std::size_t blocks = sim::shardLayout(n, seq, spans);
-        for (std::size_t b = 0; b < blocks; ++b) {
-            sim::Rng &lane = plane.lane(spans[b].lane);
+        referenceBlocks(n, seq++, [&](std::size_t s, std::size_t begin,
+                                      std::size_t end) {
+            const std::size_t len = end - begin;
+            ops[s] += len;
+            if (len == 0)
+                return; // an empty tick draws nothing
+            sim::Rng &lane = lanes[s];
             // A lane holding a spare draws no word for its first normal.
             if (lane.gaussianWords(1) == 0)
                 ++blocks_on_spare;
-            const std::size_t len = spans[b].end - spans[b].begin;
-            referenceBlock(params, lane, out.data() + spans[b].begin,
-                           len);
-            plane.addOps(spans[b].lane, len);
-        }
+            referenceBlock(params, lane, out.data() + begin, len);
+        });
         generated += n;
     }
 
     YcsbParams params;
-    sim::ShardPlane plane;
+    sim::Rng control;
+    std::array<sim::Rng, kLanes> lanes;
+    LaneCounts ops{};
+    std::uint64_t seq = 0;
     std::uint64_t generated = 0;
     std::uint64_t blocks_on_spare = 0;
 };
@@ -154,7 +184,7 @@ TEST(ShardedYcsb, StreamMatchesColumnByColumnReference)
             ++classes[n == 0 ? 0 : n <= 32 ? 1 : n <= 512 ? 2 : 3];
         }
         EXPECT_EQ(gen.generated(), ref.generated);
-        EXPECT_EQ(gen.shardOps(), ref.plane.opsPerShard());
+        EXPECT_EQ(gen.shardOps(), ref.ops);
         for (const int c : classes)
             EXPECT_GT(c, 0) << "a batch-size class was not covered";
         EXPECT_GT(ref.blocks_on_spare, 0u)
@@ -190,36 +220,36 @@ struct Request
     std::uint64_t file_count = 0;
 };
 
-/** ShardedDfsioGenerator as a request vector per tick. */
-struct ReferenceShardedDfsio
+/** DfsioGenerator as a request vector per tick. */
+struct ReferenceDfsio
 {
-    ReferenceShardedDfsio(const DfsioParams &p, sim::Rng rng)
-        : params(p), plane(rng)
-    {}
+    ReferenceDfsio(const DfsioParams &p, sim::Rng r) : params(p), rng(r) {}
 
     std::vector<Request> tick(sim::Tick now)
     {
         const std::size_t n =
-            batchSize(plane.control(), params.writes_per_tick,
+            batchSize(rng, params.writes_per_tick,
                       params.writes_per_tick * params.burstiness);
-        const std::uint64_t seq = plane.nextTickSeq();
+        const std::uint64_t seq = next_seq++;
         std::vector<Request> out(n);
-        sim::ShardSpan spans[sim::kShards];
-        const std::size_t blocks = sim::shardLayout(n, seq, spans);
-        for (std::size_t b = 0; b < blocks; ++b)
-            plane.addOps(spans[b].lane, spans[b].end - spans[b].begin);
+        referenceBlocks(n, seq, [&](std::size_t s, std::size_t begin,
+                                    std::size_t end) {
+            ops[s] += end - begin;
+        });
         generated += n;
         if (last_du < 0 || now - last_du >= params.du_period) {
             out.push_back({true, params.du_file_count});
             last_du = now;
             ++generated;
-            plane.addOps(static_cast<std::size_t>(seq % sim::kShards), 1);
+            ++ops[seq % kLanes]; // the du counts on the tick's lane
         }
         return out;
     }
 
     DfsioParams params;
-    sim::ShardPlane plane;
+    sim::Rng rng;
+    LaneCounts ops{};
+    std::uint64_t next_seq = 0;
     sim::Tick last_du = -1;
     std::uint64_t generated = 0;
 };
@@ -251,22 +281,29 @@ expectSameNamenode(const dfs::Namenode &a, const dfs::Namenode &b,
     ASSERT_EQ(a.duResults().size(), b.duResults().size()) << "tick " << t;
 }
 
-TEST(ShardedDfsio, CountsMatchMaterialisedBatches)
+/** What one DFSIO comparison covered. */
+struct DfsioCoverage
 {
-    // du every 10 ticks over a subtree that takes ~50 ticks to walk:
-    // most du commands arrive while another runs and are dropped.
-    DfsioParams p;
-    p.writes_per_tick = 30.0;
-    p.burstiness = 0.6;
-    p.du_period = 10;
-    p.du_file_count = 1000000;
-    dfs::NamenodeParams np; // 20000 files/tick, 60 writes/tick served
+    std::uint64_t du_ticks = 0;   ///< ticks that issued a du
+    std::uint64_t du_started = 0; ///< of those, a du the namenode started
+    std::uint64_t zero_ticks = 0; ///< ticks of no write
+    std::size_t du_results = 0;   ///< du commands completed
+};
 
-    ShardedDfsioGenerator gen(p, sim::Rng(3));
-    ReferenceShardedDfsio ref(p, sim::Rng(3));
+/**
+ * Compare DfsioGenerator(@p p, Rng(@p seed)) with ReferenceDfsio for
+ * @p ticks ticks: the counts per tick and a namenode fed the counts
+ * against one fed each request; then generated() and shardOps().
+ */
+void
+expectCountsMatch(const DfsioParams &p, std::uint64_t seed,
+                  sim::Tick ticks, DfsioCoverage &cov)
+{
+    dfs::NamenodeParams np; // 20000 files/tick, 60 writes/tick served
+    DfsioGenerator gen(p, sim::Rng(seed));
+    ReferenceDfsio ref(p, sim::Rng(seed));
     dfs::Namenode counted(np, 100000), per_request(np, 100000);
-    std::uint64_t du_ticks = 0, du_started = 0;
-    for (sim::Tick t = 0; t < 600; ++t) {
+    for (sim::Tick t = 0; t < ticks; ++t) {
         const DfsioTick got = gen.tick(t);
         const std::vector<Request> batch = ref.tick(t);
         const DfsioTick want = countBatch(batch);
@@ -275,25 +312,26 @@ TEST(ShardedDfsio, CountsMatchMaterialisedBatches)
 
         const bool idle = !counted.duActive();
         counted.submit(got.writes, got.du_files, t);
-        // Today's batch, one request at a time.
+        // The batch, one request at a time.
         for (const Request &r : batch)
             per_request.submit(r.du ? 0 : 1,
                                r.du ? std::optional(r.file_count)
                                     : std::nullopt,
                                t);
         if (got.du_files) {
-            ++du_ticks;
-            du_started += idle ? 1 : 0;
+            ++cov.du_ticks;
+            cov.du_started += idle ? 1 : 0;
         }
+        cov.zero_ticks += got.writes == 0 ? 1 : 0;
         counted.step(t);
         per_request.step(t);
         expectSameNamenode(counted, per_request, t);
     }
     EXPECT_EQ(gen.generated(), ref.generated);
-    EXPECT_EQ(gen.shardOps(), ref.plane.opsPerShard());
-    EXPECT_GT(du_ticks, du_started) << "no du was dropped";
-    EXPECT_GT(counted.duResults().size(), 1u);
-    for (std::size_t i = 0; i < counted.duResults().size(); ++i) {
+    EXPECT_EQ(gen.shardOps(), ref.ops);
+    cov.du_results = counted.duResults().size();
+    ASSERT_EQ(cov.du_results, per_request.duResults().size());
+    for (std::size_t i = 0; i < cov.du_results; ++i) {
         EXPECT_TRUE(sameBits(counted.duResults()[i].latency_ticks,
                              per_request.duResults()[i].latency_ticks));
         EXPECT_EQ(counted.duResults()[i].yields,
@@ -303,6 +341,25 @@ TEST(ShardedDfsio, CountsMatchMaterialisedBatches)
                          per_request.takeRecentMaxWait()));
 }
 
+// The busy case: ticks of up to a few hundred writes span many lanes,
+// so shardOps() is checked over multi-block layouts.
+TEST(ShardedDfsio, CountsMatchMaterialisedBatches)
+{
+    // du every 10 ticks over a subtree that takes ~50 ticks to walk:
+    // most du commands arrive while another runs and are dropped.
+    DfsioParams p;
+    p.writes_per_tick = 30.0;
+    p.burstiness = 0.6;
+    p.du_period = 10;
+    p.du_file_count = 1000000;
+    DfsioCoverage cov;
+    expectCountsMatch(p, 3, 600, cov);
+    if (HasFatalFailure())
+        return;
+    EXPECT_GT(cov.du_ticks, cov.du_started) << "no du was dropped";
+    EXPECT_GT(cov.du_results, 1u);
+}
+
 TEST(Dfsio, CountsMatchMaterialisedBatches)
 {
     DfsioParams p;
@@ -310,28 +367,9 @@ TEST(Dfsio, CountsMatchMaterialisedBatches)
     p.burstiness = 1.0; // many zero-write ticks
     p.du_period = 25;
     p.du_file_count = 777;
-    DfsioGenerator gen(p, sim::Rng(9));
-    sim::Rng ref_rng(9);
-    std::uint64_t generated = 0, zero_ticks = 0;
-    sim::Tick last_du = -1;
-    for (sim::Tick t = 0; t < 300; ++t) {
-        const DfsioTick got = gen.tick(t);
-        const std::size_t n =
-            batchSize(ref_rng, p.writes_per_tick,
-                      p.writes_per_tick * p.burstiness);
-        std::vector<Request> batch(n);
-        if (last_du < 0 || t - last_du >= p.du_period) {
-            batch.push_back({true, p.du_file_count});
-            last_du = t;
-        }
-        const DfsioTick want = countBatch(batch);
-        ASSERT_EQ(got.writes, want.writes) << "tick " << t;
-        ASSERT_EQ(got.du_files, want.du_files) << "tick " << t;
-        generated += batch.size();
-        zero_ticks += n == 0 ? 1 : 0;
-    }
-    EXPECT_EQ(gen.generated(), generated);
-    EXPECT_GT(zero_ticks, 0u);
+    DfsioCoverage cov;
+    expectCountsMatch(p, 9, 300, cov);
+    EXPECT_GT(cov.zero_ticks, 0u);
 }
 
 } // namespace

@@ -17,7 +17,6 @@
 #include <span>
 #include <vector>
 
-#include "sim/shard.h"
 #include "workload/sharded.h"
 #include "workload/tape.h"
 
@@ -63,7 +62,7 @@ expectSameOps(std::span<const Op> got, const std::vector<Op> &want,
 }
 
 std::vector<std::uint64_t>
-asVector(const std::array<std::uint64_t, sim::kShards> &a)
+asVector(const std::array<std::uint64_t, kShards> &a)
 {
     return {a.begin(), a.end()};
 }

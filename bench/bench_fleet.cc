@@ -15,11 +15,12 @@
  * Reported per size: per-tenant goal-violation rates (mean / p99 /
  * fraction of tenants ever violating), convergence time (p50 / p99
  * ticks to settle into the goal band), coordinator cost (attach
- * re-assertions, fan-outs, serial wall time per epoch) and an
- * end-state checksum.  Every non-wall field is a pure function of
- * (params, seed) — byte-identical at any `--jobs` — so the payload
- * participates in check_regression's determinism sha exactly like the
- * sweep bench.
+ * re-assertions, fan-outs, serial wall time per epoch), the wall time
+ * of set-up (plan, construction, binding) and of the reduction (with
+ * teardown), and an end-state checksum.  Every non-wall field is a
+ * pure function of (params, seed) — byte-identical at any `--jobs` —
+ * so the payload participates in check_regression's determinism sha
+ * exactly like the sweep bench.
  */
 
 #include <cstdint>
@@ -186,6 +187,10 @@ main(int argc, char **argv)
                             ? r.coord.wall_ms /
                                   static_cast<double>(r.coord.epochs)
                             : 0.0);
+            std::printf("      \"setup_wall_ms\": %.3f,\n",
+                        r.setup_wall_ms);
+            std::printf("      \"reduce_wall_ms\": %.3f,\n",
+                        r.reduce_wall_ms);
             std::printf("      \"wall_ms\": %.3f,\n", r.wall_ms);
             std::printf("      \"checksum\": \"0x%016llx\",\n",
                         static_cast<unsigned long long>(r.checksum));
@@ -245,6 +250,12 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         sweeps[i].smart.tenants),
                     sweeps[i].smart.wall_ms);
-    std::printf("\n");
+    std::printf("\nserial terms (ms):\n");
+    for (const Sweep &s : sweeps)
+        std::printf("  %-8llu set-up %7.2f  coordinator %7.2f  "
+                    "reduction %7.2f\n",
+                    static_cast<unsigned long long>(s.smart.tenants),
+                    s.smart.setup_wall_ms, s.smart.coord.wall_ms,
+                    s.smart.reduce_wall_ms);
     return 0;
 }

@@ -61,6 +61,8 @@ GoalCoordinator::attachAll(const std::string &metric,
     // the (1-p)/(N*alpha) error split, so a duplicate would halve
     // every sibling's gain for good.
     bool added = false;
+    if (vec.empty())
+        vec.reserve(controllers.size());
     for (Controller *c : controllers) {
         if (std::find(vec.begin(), vec.end(), c) != vec.end())
             continue;

@@ -28,6 +28,14 @@
  *      out to each member, which tracks that stale view until the next
  *      epoch.
  *
+ * Per-member state is two dense arrays the coordinator owns, in join
+ * order, cluster after cluster: the members' published metrics (each
+ * bound TenantNode writes its metric there at bind and after every
+ * tick) and their frozen views (written here, read by the node's
+ * metricView()).  So the serial epoch reads and writes two contiguous
+ * arrays instead of every tenant object that other cores have just
+ * ticked.
+ *
  * Cost per epoch.  The heartbeat is one GoalCoordinator::attachAll per
  * *cluster*: one hashed registry lookup plus a compare of the
  * registered controller pointers, which match from the second epoch
@@ -69,18 +77,27 @@ class FleetCoordinator
     };
 
     /**
-     * Declare a cluster-wide goal; returns the cluster id.  The goal
-     * is declared super-hard on the underlying GoalCoordinator so
-     * member attachment drives the interaction factor.
+     * Declare a cluster-wide goal with @p members member slots; returns
+     * the cluster id.  The goal is declared on the underlying
+     * GoalCoordinator, so when it is super-hard member attachment
+     * drives the interaction factor.  Declare every cluster before the
+     * first join: join hands each member pointers into the per-member
+     * arrays, which a later addCluster may reallocate.
      */
-    std::size_t addCluster(const Goal &goal);
+    std::size_t addCluster(Goal goal, std::size_t members);
 
     /**
-     * Add @p node to the cluster: binds the node's controller to the
-     * cluster goal and records it for epoch aggregation.  Join order
-     * is the pinned aggregation order.
+     * Put smart tenant @p node in slot @p slot of @p cluster: its
+     * controller tracks the cluster goal, it publishes its metric to
+     * the slot and reads its frozen view from it.  Slot order is the
+     * pinned aggregation (join) order.  Joins into distinct slots may
+     * run concurrently; every slot is joined before the first
+     * runEpoch(), which throws std::logic_error otherwise.
+     * @throws std::out_of_range when @p slot is not below the
+     *         cluster's member count.
+     * @throws std::invalid_argument for a static node (no controller).
      */
-    void join(std::size_t cluster, TenantNode *node);
+    void join(std::size_t cluster, std::size_t slot, TenantNode *node);
 
     /**
      * Flip a cluster goal's super-hard flag at run time by
@@ -96,7 +113,7 @@ class FleetCoordinator
     std::size_t clusterCount() const { return clusters_.size(); }
     std::size_t memberCount(std::size_t cluster) const
     {
-        return clusters_[cluster].members.size();
+        return clusters_[cluster].size;
     }
     const Goal &clusterGoal(std::size_t cluster) const
     {
@@ -113,12 +130,16 @@ class FleetCoordinator
     struct Cluster
     {
         Goal goal;
-        std::vector<TenantNode *> members;   ///< join order
-        std::vector<Controller *> controllers; ///< members' controllers
+        std::size_t begin = 0; ///< first member slot
+        std::size_t size = 0;  ///< member slots
     };
 
     GoalCoordinator registry_;
     std::vector<Cluster> clusters_;
+    // Per-member state, one entry per slot, in join order.
+    std::vector<double> metrics_; ///< members' published local metrics
+    std::vector<double> views_;   ///< frozen sibling sums (fan-out)
+    std::vector<Controller *> controllers_; ///< heartbeat registrations
     Stats stats_;
 };
 

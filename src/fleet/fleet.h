@@ -21,6 +21,15 @@
  *                                  tenants (plants, controllers and
  *                                  one batched noise draw per tenant)
  *
+ * Set-up and reduction use the same pool.  The cluster layout is
+ * planned serially from tenant indices alone (no tenant is visited)
+ * and the cluster goals are declared serially; then one parallelFor
+ * with the epoch body's index layout builds every tenant in place and
+ * binds it into its pre-sized cluster slot (index 0 draws epoch 0's
+ * traffic).  At the end one parallelFor over the groups gathers each
+ * tenant's results into dense arrays and ends the tenant, and a
+ * serial fold walks the arrays in tenant-id order.
+ *
  * Determinism: the tenant->group map is a pure function of the tenant
  * count (kFleetGroups contiguous ranges), every tenant owns a private
  * Rng stream forked by tenant id, and groups share no mutable state —
@@ -32,11 +41,12 @@
  * the tenant's draw count shaped by a diurnal curve whose phase is
  * staggered per archetype, so the six tenant families peak at
  * different times of the simulated day.  The draw reads no tenant
- * state, so it runs one epoch ahead: epoch 0's before the loop, epoch
- * e + 1's inside epoch e's body, into a second count buffer that
- * swaps in at the epoch's end.  It draws and counts in cache-sized
- * chunks off one serial traffic Rng used by no other index, so every
- * count is the same as one batch drawn at the epoch boundary.
+ * state, so it runs one epoch ahead: epoch 0's inside the set-up
+ * parallelFor, epoch e + 1's inside epoch e's body, into a second
+ * count buffer that swaps in at the epoch's end.  It draws and counts
+ * in cache-sized chunks off one serial traffic Rng used by no other
+ * index, so every count is the same as one batch drawn at the epoch
+ * boundary.
  */
 
 #include <cstdint>
@@ -116,8 +126,10 @@ struct FleetResult
 
     FleetCoordinator::Stats coord; ///< epoch-batched coordination cost
 
-    double wall_ms = 0.0;       ///< whole-run wall time
-    std::uint64_t checksum = 0; ///< FNV over end state, pinned order
+    double setup_wall_ms = 0.0;  ///< plan, construction and binding
+    double reduce_wall_ms = 0.0; ///< reduction and teardown
+    double wall_ms = 0.0;        ///< whole-run wall time
+    std::uint64_t checksum = 0;  ///< FNV over end state, pinned order
 
     std::vector<ArchetypeRow> per_archetype;
 };

@@ -92,27 +92,37 @@ TenantNode::TenantNode(std::uint32_t id, const TenantArchetype &arch,
     p.lambda = arch.lambda;
     p.confMin = 0.0;
     p.confMax = arch.conf_max;
+    // No metric name, so building the node allocates nothing; the name
+    // lives once, in the archetype.
     Goal g;
-    g.metric = arch.metric;
     g.value = arch.goal_value;
     g.hard = arch.hard;
     controller_.emplace(p, g);
 }
 
 void
-TenantNode::bindCluster(const Goal &cluster_goal)
+TenantNode::bindCluster(const Goal &cluster_goal, double *metric_slot,
+                        const double *view_slot)
 {
     if (!controller_)
         return;
-    clustered_ = true;
+    Goal bound;
+    bound.value = cluster_goal.value;
+    bound.direction = cluster_goal.direction;
+    bound.hard = cluster_goal.hard;
+    bound.superHard = cluster_goal.superHard;
+    controller_->setGoal(bound);
     band_goal_ = cluster_goal.value;
-    controller_->setGoal(cluster_goal);
+    metric_slot_ = metric_slot;
+    view_slot_ = view_slot;
+    publish();
 }
 
 void
 TenantNode::tick(sim::Tick now, double load)
 {
     step(now, load, rng_.gaussian(0.0, arch_->noise));
+    publish();
 }
 
 void
@@ -131,6 +141,7 @@ TenantNode::tickEpoch(sim::Tick e0, sim::Tick e1, double base_load,
                 controlTick();
         }
     }
+    publish();
 }
 
 void
@@ -179,16 +190,18 @@ TenantNode::controlTick()
     ++stats_.control_updates;
 }
 
+ChecksumWords
+TenantNode::checksumWords() const
+{
+    return {std::bit_cast<std::uint64_t>(metric_),
+            std::bit_cast<std::uint64_t>(conf_), stats_.violations};
+}
+
 std::uint64_t
 TenantNode::foldChecksum(std::uint64_t h) const
 {
-    const auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 0x100000001b3ULL; // FNV-1a prime
-    };
-    mix(std::bit_cast<std::uint64_t>(metric_));
-    mix(std::bit_cast<std::uint64_t>(conf_));
-    mix(stats_.violations);
+    for (const std::uint64_t w : checksumWords())
+        h = fnv1a(h, w);
     return h;
 }
 

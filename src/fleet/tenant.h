@@ -20,8 +20,13 @@
  * controller, so an epoch's ticks for disjoint tenants can fan out
  * across the pool (exec::ThreadPool) with byte-identical results at
  * any worker count.  The only cross-tenant coupling is the
- * epoch-batched cluster view installed by the FleetCoordinator
- * between epochs (see fleet/coordinator.h).
+ * epoch-batched cluster view: a clustered node publishes its metric to
+ * a slot the FleetCoordinator owns and reads back the frozen sibling
+ * sum it writes between epochs (see fleet/coordinator.h).
+ *
+ * A node allocates nothing: its controller tracks a goal without a
+ * metric name (value, direction, flags), and the name lives once, in
+ * the archetype or in the coordinator's cluster goal.
  */
 
 #include <array>
@@ -75,6 +80,17 @@ struct TenantArchetype
 /** The six archetypes, Table 6 order, derived from makeAllScenarios(). */
 const std::array<TenantArchetype, 6> &archetypes();
 
+/** A tenant's end state in the pinned checksum order: the metric's
+ *  bits, the conf's bits, the violation count. */
+using ChecksumWords = std::array<std::uint64_t, 3>;
+
+/** One FNV-1a step: fold @p word into @p h. */
+inline std::uint64_t
+fnv1a(std::uint64_t h, std::uint64_t word)
+{
+    return (h ^ word) * 0x100000001b3ULL;
+}
+
 /** Per-tenant accounting surfaced by FleetResult. */
 struct TenantStats
 {
@@ -89,9 +105,9 @@ struct TenantStats
  * One tenant: plant + sensor + (for smart fleets) controller.
  *
  * Tick-granular methods are called only from the epoch fan-out body
- * that owns this tenant's group; epoch-granular methods
- * (setClusterView, bindCluster) are called only from the serial
- * coordination boundary between epochs.
+ * that owns this tenant's group; bindCluster is called before the
+ * first epoch.  Between epochs the coordinator reads the node's
+ * published metric and writes its view slot.
  */
 class TenantNode
 {
@@ -108,16 +124,15 @@ class TenantNode
 
     /**
      * Join a cluster-wide super-hard goal: the controller retargets
-     * from the local goal to @p cluster_goal, tracking the *aggregate*
-     * view (frozen siblings + own metric).  Serial setup phase only.
+     * from the local goal to @p cluster_goal's value, direction and
+     * flags (not its name), tracking the *aggregate* view
+     * `*view_slot + own metric`.  The node publishes its metric to
+     * `*metric_slot` now and after every tick() and tickEpoch().  Both
+     * slots must outlive the node's ticks.  A static node ignores the
+     * call.
      */
-    void bindCluster(const Goal &cluster_goal);
-
-    /** Install this epoch's frozen sibling aggregate (coordinator). */
-    void setClusterView(double frozen_others)
-    {
-        frozen_others_ = frozen_others;
-    }
+    void bindCluster(const Goal &cluster_goal, double *metric_slot,
+                     const double *view_slot);
 
     /**
      * Advance the plant one tick under @p load ops/tick and account
@@ -143,12 +158,12 @@ class TenantNode
     /** Metric the controller sees: cluster aggregate when clustered. */
     double metricView() const
     {
-        return clustered_ ? frozen_others_ + metric_ : metric_;
+        return view_slot_ ? *view_slot_ + metric_ : metric_;
     }
 
     double localMetric() const { return metric_; }
     double conf() const { return conf_; }
-    bool clustered() const { return clustered_; }
+    bool clustered() const { return view_slot_ != nullptr; }
     bool smart() const { return controller_.has_value(); }
     Controller *controller()
     {
@@ -157,22 +172,31 @@ class TenantNode
     const TenantArchetype &archetype() const { return *arch_; }
     const TenantStats &stats() const { return stats_; }
 
-    /** Fold this node's end state into @p h (FNV-1a, pinned order). */
+    /** This node's end state as checksum words. */
+    ChecksumWords checksumWords() const;
+
+    /** Fold checksumWords() into @p h (FNV-1a, pinned order). */
     std::uint64_t foldChecksum(std::uint64_t h) const;
 
   private:
     /** tick() with this tick's sensor noise already drawn. */
     void step(sim::Tick now, double load, double noise);
 
+    void publish()
+    {
+        if (metric_slot_)
+            *metric_slot_ = metric_;
+    }
+
     const TenantArchetype *arch_;
     sim::Rng rng_;
     double plant_alpha_;  ///< true gain (jittered vs profiled alpha)
     double metric_ = 0.0; ///< plant state = sensed metric
     double conf_;
-    double frozen_others_ = 0.0;
     double view_smooth_ = 0.0; ///< settling detector state
     double band_goal_; ///< settling band reference (local goal)
-    bool clustered_ = false;
+    double *metric_slot_ = nullptr;      ///< published metric (clustered)
+    const double *view_slot_ = nullptr;  ///< frozen sibling sum (clustered)
     std::optional<Controller> controller_;
     TenantStats stats_;
 };

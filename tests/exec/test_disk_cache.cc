@@ -24,6 +24,7 @@
 #include "exec/disk_cache.h"
 #include "exec/run_cache.h"
 #include "support/cache_faults.h"
+#include "support/scratch_dir.h"
 #include "scenarios/scenario.h"
 #include "sim/metrics.h"
 #include "sim/rng.h"
@@ -38,22 +39,10 @@ class DiskRunCacheTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        root_ = (fs::temp_directory_path() /
-                 ("smartconf-cache-test-" +
-                  std::to_string(::testing::UnitTest::GetInstance()
-                                     ->random_seed()) +
-                  "-" + test_name()))
-                    .string();
+        root_ = test_support::scratchDir("cache-test");
         fs::remove_all(root_);
     }
     void TearDown() override { fs::remove_all(root_); }
-
-    static std::string test_name()
-    {
-        return ::testing::UnitTest::GetInstance()
-            ->current_test_info()
-            ->name();
-    }
 
     /** Store options for throwaway reader instances: no compactor
      *  thread, so hundreds of fresh instances stay cheap. */

@@ -22,6 +22,7 @@
 #include "exec/disk_cache.h"
 #include "exec/sweep.h"
 #include "scenarios/scenario.h"
+#include "support/scratch_dir.h"
 
 namespace smartconf::exec {
 namespace {
@@ -110,11 +111,7 @@ class TempDir
 {
   public:
     explicit TempDir(const std::string &tag)
-        : path_((fs::temp_directory_path() /
-                 ("smartconf-sweep-groups-" + tag + "-" +
-                  std::to_string(::testing::UnitTest::GetInstance()
-                                     ->random_seed())))
-                    .string())
+        : path_(test_support::scratchDir("sweep-groups-" + tag))
     {
         fs::remove_all(path_);
     }

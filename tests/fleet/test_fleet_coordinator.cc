@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "fleet/coordinator.h"
 #include "fleet/tenant.h"
 #include "sim/rng.h"
@@ -36,9 +39,9 @@ TEST(FleetCoordinator, JoinSetsInteractionFactorToMembership)
 {
     FleetCoordinator coord;
     auto nodes = makeNodes(4);
-    const std::size_t c = coord.addCluster(clusterGoal(400.0));
-    for (auto &n : nodes)
-        coord.join(c, &n);
+    const std::size_t c = coord.addCluster(clusterGoal(400.0), 4);
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+        coord.join(c, i, &nodes[i]);
     coord.runEpoch();
     for (auto &n : nodes)
         EXPECT_DOUBLE_EQ(n.controller()->params().interactionFactor,
@@ -54,9 +57,9 @@ TEST(FleetCoordinator, RepeatedEpochsDoNotInflateN)
     // silently dividing every controller's gain to nothing.
     FleetCoordinator coord;
     auto nodes = makeNodes(3);
-    const std::size_t c = coord.addCluster(clusterGoal(300.0));
-    for (auto &n : nodes)
-        coord.join(c, &n);
+    const std::size_t c = coord.addCluster(clusterGoal(300.0), 3);
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+        coord.join(c, i, &nodes[i]);
     for (int epoch = 0; epoch < 5; ++epoch)
         coord.runEpoch();
     EXPECT_EQ(coord.stats().attach_calls, 15u); // 3 members x 5 epochs
@@ -70,9 +73,9 @@ TEST(FleetCoordinator, FanOutInstallsFrozenSiblingSum)
 {
     FleetCoordinator coord;
     auto nodes = makeNodes(3);
-    const std::size_t c = coord.addCluster(clusterGoal(300.0));
-    for (auto &n : nodes)
-        coord.join(c, &n);
+    const std::size_t c = coord.addCluster(clusterGoal(300.0), 3);
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+        coord.join(c, i, &nodes[i]);
     coord.runEpoch();
     double aggregate = 0.0;
     for (const auto &n : nodes)
@@ -88,9 +91,9 @@ TEST(FleetCoordinator, AggregateViolationsCounted)
     auto nodes = makeNodes(2);
     // Warm-started nodes sit near base + alpha*default ~ 69 each; a
     // cluster goal of 10 is violated by the aggregate from epoch 0.
-    const std::size_t c = coord.addCluster(clusterGoal(10.0));
-    for (auto &n : nodes)
-        coord.join(c, &n);
+    const std::size_t c = coord.addCluster(clusterGoal(10.0), 2);
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+        coord.join(c, i, &nodes[i]);
     coord.runEpoch();
     coord.runEpoch();
     EXPECT_EQ(coord.stats().aggregate_violations, 2u);
@@ -104,9 +107,9 @@ TEST(FleetCoordinator, SetSuperHardFlipRebalancesMidRun)
     // rebalance every attached member immediately, both directions.
     FleetCoordinator coord;
     auto nodes = makeNodes(4);
-    const std::size_t c = coord.addCluster(clusterGoal(400.0));
-    for (auto &n : nodes)
-        coord.join(c, &n);
+    const std::size_t c = coord.addCluster(clusterGoal(400.0), 4);
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+        coord.join(c, i, &nodes[i]);
     coord.runEpoch();
     ASSERT_DOUBLE_EQ(nodes[0].controller()->params().interactionFactor,
                      4.0);
@@ -129,12 +132,12 @@ TEST(FleetCoordinator, ClustersAreIndependent)
     Goal g0 = clusterGoal(300.0);
     Goal g1 = clusterGoal(200.0);
     g1.metric = "fleet/test/1";
-    const std::size_t c0 = coord.addCluster(g0);
-    const std::size_t c1 = coord.addCluster(g1);
+    const std::size_t c0 = coord.addCluster(g0, 3);
+    const std::size_t c1 = coord.addCluster(g1, 2);
     for (std::size_t i = 0; i < 3; ++i)
-        coord.join(c0, &nodes[i]);
+        coord.join(c0, i, &nodes[i]);
     for (std::size_t i = 3; i < 5; ++i)
-        coord.join(c1, &nodes[i]);
+        coord.join(c1, i - 3, &nodes[i]);
     coord.runEpoch();
     EXPECT_DOUBLE_EQ(nodes[0].controller()->params().interactionFactor,
                      3.0);
@@ -143,6 +146,23 @@ TEST(FleetCoordinator, ClustersAreIndependent)
     EXPECT_EQ(coord.clusterCount(), 2u);
     EXPECT_EQ(coord.memberCount(c0), 3u);
     EXPECT_EQ(coord.memberCount(c1), 2u);
+}
+
+TEST(FleetCoordinator, JoinFillsDeclaredSlotsOnly)
+{
+    FleetCoordinator coord;
+    auto nodes = makeNodes(3);
+    auto pinned = makeNodes(1, false);
+    const std::size_t c = coord.addCluster(clusterGoal(300.0), 2);
+    EXPECT_THROW(coord.join(c, 2, &nodes[2]), std::out_of_range);
+    EXPECT_THROW(coord.join(c, 0, &pinned[0]), std::invalid_argument);
+    coord.join(c, 1, &nodes[1]);
+    // Slot 0 was never joined.
+    EXPECT_THROW(coord.runEpoch(), std::logic_error);
+    coord.join(c, 0, &nodes[0]);
+    coord.runEpoch();
+    EXPECT_EQ(coord.registry().interactionCount("fleet/test/0"), 2u);
+    EXPECT_FALSE(nodes[2].clustered());
 }
 
 } // namespace

@@ -35,11 +35,41 @@ multiChunkFleet()
 }
 
 /**
+ * 37 tenants in clusters of 5: fewer tenants than kFleetGroups, so
+ * every group holds one tenant and each cluster is bound from several
+ * groups.  Memory ends in a trailing partial cluster of 4 and disk in
+ * a single leftover tenant that keeps its local goal.
+ */
+FleetParams
+tailFleet()
+{
+    FleetParams p;
+    p.tenants = 37;
+    p.cluster_size = 5;
+    p.ticks = 120;
+    p.seed = 3;
+    return p;
+}
+
+/** 1,000 tenants in clusters of 7: partial tails on both metrics. */
+FleetParams
+sevenFleet()
+{
+    FleetParams p;
+    p.tenants = 1000;
+    p.cluster_size = 7;
+    p.ticks = 120;
+    p.seed = 3;
+    return p;
+}
+
+/**
  * The default epoch shape; an odd one: 7-tick epochs carry a spare
  * normal across every epoch boundary, are not a multiple of the
  * control period, and 23 ticks end in a 2-tick epoch; the multi-chunk
- * traffic fleet; and a single epoch, whose traffic is all drawn before
- * the loop, so no epoch body draws any.
+ * traffic fleet; a single epoch, whose traffic is all drawn before
+ * the loop, so no epoch body draws any; and the two cluster layouts
+ * above.
  */
 std::vector<FleetParams>
 testFleets()
@@ -53,13 +83,15 @@ testFleets()
     odd.ticks = 23;
     FleetParams one_epoch = p;
     one_epoch.ticks = 15;
-    return {p, odd, multiChunkFleet(), one_epoch};
+    return {p, odd, multiChunkFleet(), one_epoch, tailFleet(),
+            sevenFleet()};
 }
 
 std::string
 label(const FleetParams &p)
 {
     return "tenants=" + std::to_string(p.tenants) +
+           " cluster_size=" + std::to_string(p.cluster_size) +
            " epoch_ticks=" + std::to_string(p.epoch_ticks) +
            " ticks=" + std::to_string(p.ticks);
 }
@@ -98,7 +130,7 @@ TEST(FleetDeterminism, PoolSizeDoesNotChangeResults)
         // Reference: no pool, the groups run in a plain loop.
         const FleetResult serial = runFleet(base);
 
-        for (const std::size_t jobs : {1u, 2u, 8u}) {
+        for (const std::size_t jobs : {1u, 2u, 3u, 8u}) {
             exec::ThreadPool pool(jobs);
             FleetParams p = base;
             p.pool = &pool;
@@ -138,6 +170,23 @@ TEST(FleetDeterminism, ChecksumPinnedAcrossTrafficChunking)
     const FleetResult parallel = runFleet(p);
     EXPECT_EQ(parallel.checksum, 0xedfb2ed703aa6857ULL);
     EXPECT_DOUBLE_EQ(parallel.convergence_p99_ticks, 24.0);
+}
+
+TEST(FleetDeterminism, ClusterTailsMatchTheSerialSetUp)
+{
+    // Recorded from the build that built the tenants one by one and
+    // filled each metric's clusters in a serial walk over them: the
+    // index-planned layout must give the same members, in the same
+    // order, under the same goals.
+    const FleetResult tail = runFleet(tailFleet());
+    EXPECT_EQ(tail.clusters, 5u);
+    EXPECT_EQ(tail.clustered_tenants, 24u);
+    EXPECT_EQ(tail.checksum, 0x5be7fca89ff4cdf9ULL);
+
+    const FleetResult seven = runFleet(sevenFleet());
+    EXPECT_EQ(seven.clusters, 96u);
+    EXPECT_EQ(seven.clustered_tenants, 667u);
+    EXPECT_EQ(seven.checksum, 0xf9fb7ca377c60824ULL);
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <bit>
 #include <vector>
 
+#include "fleet/coordinator.h"
 #include "fleet/tenant.h"
 #include "sim/rng.h"
 
@@ -32,14 +33,15 @@ expectEpochMatchesTickLoop(std::size_t arch, bool smart, bool clustered,
     const sim::Rng base(17);
     TenantNode fast(5, archetypes()[arch], base, smart);
     TenantNode ref(5, archetypes()[arch], base, smart);
+    double fast_published = 0.0, ref_published = 0.0, view = 0.0;
     if (clustered) {
         Goal g;
         g.metric = "fleet/test/0";
         g.value = 800.0;
         g.hard = true;
         g.superHard = true;
-        fast.bindCluster(g);
-        ref.bindCluster(g);
+        fast.bindCluster(g, &fast_published, &view);
+        ref.bindCluster(g, &ref_published, &view);
     }
     std::vector<double> diurnal(static_cast<std::size_t>(epoch_ticks));
     for (sim::Tick e0 = 0; e0 < ticks; e0 += epoch_ticks) {
@@ -48,11 +50,8 @@ expectEpochMatchesTickLoop(std::size_t arch, bool smart, bool clustered,
         for (sim::Tick t = e0; t < e1; ++t)
             diurnal[static_cast<std::size_t>(t - e0)] =
                 0.25 + 0.003 * static_cast<double>(t);
-        if (clustered) {
-            const double others = 600.0 + static_cast<double>(e0);
-            fast.setClusterView(others);
-            ref.setClusterView(others);
-        }
+        if (clustered)
+            view = 600.0 + static_cast<double>(e0);
 
         fast.tickEpoch(e0, e1, base_load, diurnal.data(),
                        control_period);
@@ -193,11 +192,43 @@ TEST(FleetTenant, ClusterBindingRetargetsViewAndGoal)
     g.value = 900.0;
     g.hard = true;
     g.superHard = true;
-    n.bindCluster(g);
+    FleetCoordinator coord;
+    const std::size_t c = coord.addCluster(g, 1);
+    coord.join(c, 0, &n);
     EXPECT_TRUE(n.clustered());
-    EXPECT_EQ(n.controller()->goal().metric, "fleet/mem/0");
-    n.setClusterView(800.0);
+    // The name lives in the coordinator; the controller tracks the
+    // bound.
+    EXPECT_EQ(coord.clusterGoal(c).metric, "fleet/mem/0");
+    const Goal &bound = n.controller()->goal();
+    EXPECT_DOUBLE_EQ(bound.value, 900.0);
+    EXPECT_TRUE(bound.hard);
+    EXPECT_TRUE(bound.superHard);
+    // The view is whatever the slot holds; rebind to one set here.
+    double published = 0.0;
+    const double view = 800.0;
+    n.bindCluster(g, &published, &view);
     EXPECT_DOUBLE_EQ(n.metricView(), 800.0 + n.localMetric());
+}
+
+TEST(FleetTenant, ClusteredNodePublishesItsMetric)
+{
+    // The coordinator reads a clustered node's metric from its slot,
+    // so the slot must hold the metric after binding and after every
+    // tick() and tickEpoch().
+    const sim::Rng base(5);
+    TenantNode n(0, archetypes()[0], base, true);
+    Goal g;
+    g.value = 900.0;
+    g.hard = true;
+    double published = -1.0;
+    const double view = 0.0;
+    n.bindCluster(g, &published, &view);
+    EXPECT_TRUE(sameBits(published, n.localMetric()));
+    n.tick(0, 3.0);
+    EXPECT_TRUE(sameBits(published, n.localMetric()));
+    const std::vector<double> diurnal(8, 1.5);
+    n.tickEpoch(1, 9, 2.0, diurnal.data(), 4);
+    EXPECT_TRUE(sameBits(published, n.localMetric()));
 }
 
 TEST(FleetTenant, StaticNodeIgnoresClusterBinding)
@@ -207,7 +238,9 @@ TEST(FleetTenant, StaticNodeIgnoresClusterBinding)
     Goal g;
     g.metric = "fleet/mem/0";
     g.value = 900.0;
-    n.bindCluster(g);
+    double published = 0.0;
+    const double view = 800.0;
+    n.bindCluster(g, &published, &view);
     EXPECT_FALSE(n.clustered());
     EXPECT_DOUBLE_EQ(n.metricView(), n.localMetric());
 }

@@ -20,6 +20,7 @@
 #include "store/query.h"
 #include "store/segment.h"
 #include "store/segment_store.h"
+#include "support/scratch_dir.h"
 
 namespace smartconf::store {
 namespace {
@@ -31,15 +32,7 @@ class StoreMultiProcessTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir_ = (fs::temp_directory_path() /
-                ("smartconf-mp-test-" +
-                 std::to_string(::testing::UnitTest::GetInstance()
-                                    ->random_seed()) +
-                 "-" +
-                 ::testing::UnitTest::GetInstance()
-                     ->current_test_info()
-                     ->name()))
-                   .string();
+        dir_ = test_support::scratchDir("mp-test");
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }

@@ -14,6 +14,7 @@
 #include "store/query.h"
 #include "store/segment.h"
 #include "store/segment_store.h"
+#include "support/scratch_dir.h"
 
 namespace smartconf::store {
 namespace {
@@ -25,15 +26,7 @@ class StoreQueryTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir_ = (fs::temp_directory_path() /
-                ("smartconf-query-test-" +
-                 std::to_string(::testing::UnitTest::GetInstance()
-                                    ->random_seed()) +
-                 "-" +
-                 ::testing::UnitTest::GetInstance()
-                     ->current_test_info()
-                     ->name()))
-                   .string();
+        dir_ = test_support::scratchDir("query-test");
         fs::remove_all(dir_);
     }
     void TearDown() override { fs::remove_all(dir_); }
